@@ -22,6 +22,7 @@ from .finposet import (
     poset_to_json,
 )
 from .opairs import (
+    DEFAULT_PAIR_CAP,
     Kind,
     PairHom,
     enumerate_pairs,
@@ -228,7 +229,7 @@ def check_local_determination(k: Cocone) -> LdReport:
     return check_local_determination_adj(k)
 
 
-def is_colimiting(k: Cocone, cap: int = 64) -> bool:
+def is_colimiting(k: Cocone, cap: int = DEFAULT_PAIR_CAP) -> bool:
     """Universal-property oracle by mediator search: k is colimiting iff an
     isomorphism pair u from the canonical colimit's apex satisfies
     u ∘ κ_n = c_n for all n (colimits are unique up to unique iso).
@@ -253,7 +254,7 @@ def is_colimiting(k: Cocone, cap: int = 64) -> bool:
     )
 
 
-def is_colimiting_by_enumeration(k: Cocone, cap: int = 64) -> bool:
+def is_colimiting_by_enumeration(k: Cocone, cap: int = DEFAULT_PAIR_CAP) -> bool:
     """Brute-force variant of is_colimiting quantifying the mediator over
     the full enumerated pair hom-set; cross-checked against the forced-
     candidate shortcut in the test suite."""

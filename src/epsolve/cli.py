@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .chains import check_local_determination, cocone_from_json
@@ -29,10 +28,7 @@ DEFAULT_ELEM_CAP = 512
 
 
 def _elem_cap(args) -> int:
-    env = os.environ.get("EPSOLVE_CAP_ELEMS")
-    if env is not None:
-        return int(env)
-    return args.max_size if getattr(args, "max_size", None) else DEFAULT_ELEM_CAP
+    return args.max_size or DEFAULT_ELEM_CAP
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -163,38 +159,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-size", type=int, default=None)
-        p.add_argument("--max-len", type=int, default=None)
-        p.add_argument("--json", metavar="PATH", default=None)
-        p.add_argument("--csv", metavar="PATH", default=None)
-
     p = sub.add_parser("solve", help="iterate an equation from the one-point poset")
     p.add_argument("equation")
     p.add_argument("--depth", type=int, default=4)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--json", metavar="PATH", default=None)
+    p.add_argument("--csv", metavar="PATH", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-ld", help="local-determination check of a cocone")
     p.add_argument("--cocone", metavar="PATH", required=True)
-    common(p)
+    p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_check_ld)
 
     p = sub.add_parser("preserve", help="apply a functor to a cocone and recheck")
     p.add_argument("functor")
     p.add_argument("--cocone", metavar="PATH", required=True)
-    common(p)
+    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_preserve)
 
     p = sub.add_parser("verify-theorems", help="run the seeded property suites")
     p.add_argument("--chains", type=int, default=200)
     p.add_argument("--lub-cases", type=int, default=50)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_verify_theorems)
 
     p = sub.add_parser("yoneda-demo", help="two-object Yoneda worked example")
-    common(p)
+    p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_yoneda_demo)
 
     return ap

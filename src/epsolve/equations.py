@@ -71,7 +71,6 @@ class EquationSpec:
     body: FunctorExpr
     depth: int = 4
     elem_cap: int = 512
-    pair_cap: int = 64
 
 
 _TOKEN_RE = re.compile(r"\s*(=|\+|\(|\)|,|[A-Za-z0-9_\-*]+)")
@@ -178,11 +177,11 @@ def parse_functor(text: str) -> FunctorExpr:
     return out
 
 
-def parse_equation(text: str, depth: int = 4, elem_cap: int = 512, pair_cap: int = 64) -> EquationSpec:
+def parse_equation(text: str, depth: int = 4, elem_cap: int = 512) -> EquationSpec:
     body = _Parser(text).parse_equation()
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return EquationSpec(text, body, depth, elem_cap, pair_cap)
+    return EquationSpec(text, body, depth, elem_cap)
 
 
 def iterate(spec: EquationSpec) -> OmegaChain:

@@ -7,6 +7,7 @@ are computed exactly from an explicit stabilization witness.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -27,29 +28,34 @@ class Violation:
     witness: tuple[str, ...]
 
 
+#: (class, *fields) -> the live instance with those fields
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class Interned(type):
+    """Metaclass that hash-conses a frozen dataclass (Filliâtre & Conchon,
+    "Type-safe modular hash-consing", 2006): constructing with equal fields
+    returns the live instance, so `==` and `hash` are the inherited object
+    identity.  The table holds instances weakly; an unreferenced one dies.
+    Construction is not thread-safe: two threads could intern twins."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__match_args__):
+            # the dataclass __init__ binds keywords and fills in defaults
+            obj = super().__call__(*args, **kwargs)
+            args = tuple(getattr(obj, name) for name in cls.__match_args__)
+        key = (cls, *args)
+        obj = _INTERNED.get(key)
+        if obj is None:
+            obj = _INTERNED[key] = super().__call__(*args)
+        return obj
+
+
 @dataclass(frozen=True, eq=False)
-class FinPoset:
+class FinPoset(metaclass=Interned):
     elems: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
     bottom: str | None = None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FinPoset):
-            return NotImplemented
-        return (
-            self.elems == other.elems
-            and self.bottom == other.bottom
-            and self.leq == other.leq
-        )
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.elems, self.leq, self.bottom))
-            self.__dict__["_hash"] = h
-        return h
 
     @cached_property
     def _pos(self) -> dict[str, int]:
@@ -101,15 +107,23 @@ def make_poset(elems, pairs, bottom=None) -> FinPoset:
     return p
 
 
+def _distinct_elems(elems: tuple[str, ...]) -> Violation | None:
+    """The distinct-elems violation naming the first repeated element, or None."""
+    if len(set(elems)) == len(elems):
+        return None
+    seen = set()
+    for e in elems:
+        if e in seen:
+            return Violation("distinct-elems", (e,))
+        seen.add(e)
+
+
 def validate_poset(p: FinPoset) -> Violation | None:
     """Check all poset axioms; return the first violation or None."""
     n = len(p.elems)
-    if len(set(p.elems)) != n:
-        seen = set()
-        for e in p.elems:
-            if e in seen:
-                return Violation("distinct-elems", (e,))
-            seen.add(e)
+    v = _distinct_elems(p.elems)
+    if v is not None:
+        return v
     if len(p.leq) != n or any(len(row) != n for row in p.leq):
         return Violation("shape", ())
     for i in range(n):
@@ -179,28 +193,10 @@ def antichain(k: int) -> FinPoset:
 # monotone maps
 
 @dataclass(frozen=True, eq=False)
-class MonotoneMap:
+class MonotoneMap(metaclass=Interned):
     dom: FinPoset
     cod: FinPoset
     table: tuple[int, ...]  # cod indices, aligned with dom.elems
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, MonotoneMap):
-            return NotImplemented
-        return (
-            self.table == other.table
-            and self.dom == other.dom
-            and self.cod == other.cod
-        )
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.dom, self.cod, self.table))
-            self.__dict__["_hash"] = h
-        return h
 
     def __call__(self, e: str) -> str:
         return self.cod.elems[self.table[self.dom.index(e)]]
@@ -290,6 +286,9 @@ def lub_map_chain(c: MapChain) -> MonotoneMap:
 
 def product(p: FinPoset, q: FinPoset) -> FinPoset:
     elems = tuple(f"({a},{b})" for a in p.elems for b in q.elems)
+    v = _distinct_elems(elems)  # names with commas can pair up alike
+    if v is not None:
+        raise InvalidPoset(v)
     np_, nq = len(p), len(q)
     leq = tuple(
         tuple(
@@ -390,6 +389,9 @@ def function_space_maps(
     if len(maps) > cap:
         raise CapExceeded(f"function space has {len(maps)} elements, cap {cap}")
     elems = tuple(fs_name(f) for f in maps)
+    v = _distinct_elems(elems)  # names with ':' or ',' can render two maps alike
+    if v is not None:
+        raise InvalidPoset(v)
     leq = tuple(tuple(leq_map(f, g) for g in maps) for f in maps)
     bottom = None
     if q.is_pointed:

@@ -26,7 +26,6 @@ from .finposet import (
     compose,
     coproduct,
     function_space_maps,
-    fs_name,
     identity,
     leq_map,
     lift,
@@ -101,24 +100,6 @@ class Compose(FunctorExpr):
 
     def __str__(self):
         return f"compose({self.outer},{self.inner})"
-
-
-def _install_cached_hash(cls) -> None:
-    # expression trees are hashed constantly as cache keys; memoize per node
-    base = cls.__hash__
-
-    def __hash__(self, _base=base):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = _base(self)
-            self.__dict__["_hash"] = h
-        return h
-
-    cls.__hash__ = __hash__
-
-
-for _cls in (Id, Const, Lift, Prod, Sum, Fun, Compose):
-    _install_cached_hash(_cls)
 
 
 def has_fun(e: FunctorExpr) -> bool:
@@ -225,14 +206,10 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_FS_CAP) -> 
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
             dom_fs, dom_maps = function_space_maps(ga.src, gb.src, elem_cap)
             cod_fs, cod_maps = function_space_maps(ga.tgt, gb.tgt, elem_cap)
-            cod_pos = {fs_name(m): i for i, m in enumerate(cod_maps)}
-            dom_pos = {fs_name(m): i for i, m in enumerate(dom_maps)}
-            l_table = tuple(
-                cod_pos[fs_name(compose(gb.l, compose(h, ga.r)))] for h in dom_maps
-            )
-            r_table = tuple(
-                dom_pos[fs_name(compose(gb.r, compose(k, ga.l)))] for k in cod_maps
-            )
+            cod_pos = {m: i for i, m in enumerate(cod_maps)}
+            dom_pos = {m: i for i, m in enumerate(dom_maps)}
+            l_table = tuple(cod_pos[compose(gb.l, compose(h, ga.r))] for h in dom_maps)
+            r_table = tuple(dom_pos[compose(gb.r, compose(k, ga.l))] for k in cod_maps)
             out = PairHom(
                 f.kind,
                 MonotoneMap(dom_fs, cod_fs, l_table),
@@ -317,9 +294,7 @@ class PreservationResult:
     locally_determined: LdReport
 
 
-def preserves_cocone(
-    e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_FS_CAP, pair_cap: int = DEFAULT_PAIR_CAP
-) -> PreservationResult:
+def preserves_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_FS_CAP) -> PreservationResult:
     """Apply the functor to the whole cocone and rerun the checkers on the
     image."""
     objects = tuple(apply_obj(e, p, elem_cap) for p in k.chain.objects)
@@ -333,6 +308,6 @@ def preserves_cocone(
     )
     return PreservationResult(
         image,
-        is_colimiting(image, pair_cap),
+        is_colimiting(image),
         check_local_determination(image),
     )

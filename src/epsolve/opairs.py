@@ -12,6 +12,7 @@ from functools import cache
 from .errors import CapExceeded, InvalidPair, ShapeMismatch
 from .finposet import (
     FinPoset,
+    Interned,
     MonotoneMap,
     compose,
     identity,
@@ -38,53 +39,29 @@ def _check_shapes(l: MonotoneMap, r: MonotoneMap) -> None:
 def is_ep_pair(l: MonotoneMap, r: MonotoneMap) -> bool:
     """r∘l = id and l∘r <= id."""
     _check_shapes(l, r)
-    return compose(r, l) == identity(l.dom) and leq_map(compose(l, r), identity(l.cod))
+    lt, rt, bleq = l.table, r.table, l.cod.leq
+    return all(rt[v] == i for i, v in enumerate(lt)) and all(
+        bleq[lt[v]][j] for j, v in enumerate(rt)
+    )
 
 
 def is_adjoint_pair(l: MonotoneMap, r: MonotoneMap) -> bool:
     """l∘r <= id and id <= r∘l."""
     _check_shapes(l, r)
-    return leq_map(compose(l, r), identity(l.cod)) and leq_map(
-        identity(l.dom), compose(r, l)
+    lt, rt, aleq, bleq = l.table, r.table, l.dom.leq, l.cod.leq
+    return all(bleq[lt[v]][j] for j, v in enumerate(rt)) and all(
+        aleq[i][rt[v]] for i, v in enumerate(lt)
     )
 
 
 _CHECKS = {Kind.EP: is_ep_pair, Kind.ADJ: is_adjoint_pair}
 
 
-def _valid_tables(kind: Kind, l: MonotoneMap, r: MonotoneMap) -> bool:
-    """Same predicate as _CHECKS[kind] on raw tables, for hot paths."""
-    lt, rt = l.table, r.table
-    bleq = l.cod.leq
-    if kind is Kind.EP:
-        return all(rt[v] == i for i, v in enumerate(lt)) and all(
-            bleq[lt[rt[j]]][j] for j in range(len(rt))
-        )
-    aleq = l.dom.leq
-    return all(bleq[lt[rt[j]]][j] for j in range(len(rt))) and all(
-        aleq[i][rt[v]] for i, v in enumerate(lt)
-    )
-
-
 @dataclass(frozen=True, eq=False)
-class PairHom:
+class PairHom(metaclass=Interned):
     kind: Kind
     l: MonotoneMap
     r: MonotoneMap
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PairHom):
-            return NotImplemented
-        return self.kind == other.kind and self.l == other.l and self.r == other.r
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.kind, self.l, self.r))
-            self.__dict__["_hash"] = h
-        return h
 
     @property
     def src(self) -> FinPoset:
@@ -115,7 +92,7 @@ def pair_compose(g: PairHom, f: PairHom) -> PairHom:
         raise ShapeMismatch("pair_compose: tgt(f) != src(g)")
     out = PairHom(f.kind, compose(g.l, f.l), compose(f.r, g.r))
     # composition of valid pairs is valid; asserted as a runtime invariant
-    assert _valid_tables(out.kind, out.l, out.r)
+    assert _CHECKS[out.kind](out.l, out.r)
     return out
 
 

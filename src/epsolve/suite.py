@@ -130,7 +130,7 @@ def apex_catalog() -> tuple[FinPoset, ...]:
     )
 
 
-def cocones_over(d: OmegaChain, apexes, pair_cap: int = 64):
+def cocones_over(d: OmegaChain, apexes):
     """Every cocone over d with an apex drawn from `apexes`: a cocone is
     determined by its final leg, so enumerate those."""
     last_obj = d.objects[-1]
@@ -140,7 +140,7 @@ def cocones_over(d: OmegaChain, apexes, pair_cap: int = 64):
             continue
         seen_apex.add(apex)
         try:
-            finals = enumerate_pairs(last_obj, apex, d.kind, pair_cap)
+            finals = enumerate_pairs(last_obj, apex, d.kind)
         except CapExceeded:
             continue
         for final in finals:

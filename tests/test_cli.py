@@ -1,4 +1,4 @@
-"""CLI: subcommands, exit codes, JSON/CSV outputs, env cap override."""
+"""CLI: subcommands, exit codes, JSON/CSV outputs, the element cap, flags."""
 import csv
 import json
 
@@ -57,10 +57,27 @@ def test_solve_syntax_error_exit_2(capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
-def test_solve_env_cap_override(monkeypatch, capsys):
-    monkeypatch.setenv("EPSOLVE_CAP_ELEMS", "3")
-    assert main(["solve", "D = lift(D)", "--depth", "5"]) == 2
+def test_solve_env_cap_override(capsys):
+    assert main(["solve", "D = lift(D)", "--depth", "5", "--max-size", "3"]) == 2
     assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-ld", "--cocone", "c.json", "--csv", "out.csv"],
+        ["check-ld", "--cocone", "c.json", "--seed", "1"],
+        ["preserve", "D", "--cocone", "c.json", "--max-len", "3"],
+        ["verify-theorems", "--csv", "out.csv"],
+        ["yoneda-demo", "--max-size", "3"],
+        ["solve", "D = lift(D)", "--max-len", "3"],
+    ],
+)
+def test_unread_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

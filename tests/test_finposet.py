@@ -1,6 +1,10 @@
-"""Posets, monotone maps, witnessed lubs, constructions, canonical forms."""
+"""Posets, monotone maps, witnessed lubs, constructions, canonical forms,
+interning."""
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +96,22 @@ def test_make_poset_takes_transitive_closure():
 def test_make_poset_rejects_cycles():
     with pytest.raises(InvalidPoset):
         make_poset(("a", "b"), [("a", "b"), ("b", "a")])
+
+
+def test_product_rejects_colliding_names():
+    # "(a" + "," + "b,c)" and "(a,b" + "," + "c)" render alike
+    p = make_poset(("a", "a,b"), [])
+    q = make_poset(("b,c", "c"), [])
+    with pytest.raises(InvalidPoset) as exc:
+        product(p, q)
+    assert exc.value.args[0].axiom == "distinct-elems"
+    assert exc.value.args[0].witness == ("(a,b,c)",)
+
+
+def test_function_space_rejects_colliding_names():
+    # {a:x,b:x,b:x} names both a->"x,b:x", b->"x" and a->"x", b->"x,b:x"
+    with pytest.raises(InvalidPoset):
+        function_space(make_poset(("a", "b"), []), make_poset(("x,b:x", "x"), []))
 
 
 def test_catalog_shapes():
@@ -338,3 +358,38 @@ def test_poset_json_rejects_invalid():
 def test_map_json_round_trip():
     f = map_from_dict(two(), three(), {"v0": "v0", "v1": "v2"})
     assert map_from_json(map_to_json(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# interning: equal fields give one object, and == is identity
+
+def test_poset_construction_is_interned():
+    e, l = ("a", "b"), ((True, True), (False, True))
+    p = FinPoset(e, l)
+    assert p is FinPoset(e, l, None) is FinPoset(elems=e, leq=l, bottom=None)
+    assert p is FinPoset(e, leq=l) is dataclasses.replace(p)
+    assert p is make_poset(("a", "b"), [("a", "b")])
+    assert p != FinPoset(e, l, "a") and p != FinPoset(("a", "c"), l)
+
+
+def test_map_construction_is_interned():
+    f = MonotoneMap(two(), three(), (0, 2))
+    assert f is MonotoneMap(dom=two(), cod=three(), table=(0, 2))
+    assert f is map_from_dict(two(), three(), {"v0": "v0", "v1": "v2"})
+    assert f is map_from_json(map_to_json(f))
+    assert compose(identity(three()), f) is f
+    assert f != MonotoneMap(two(), three(), (0, 1))
+
+
+def test_poset_json_round_trip_is_the_same_object():
+    assert poset_from_json(poset_to_json(diamond())) is diamond()
+
+
+def test_unreferenced_poset_is_collected():
+    p = FinPoset(("only-here",), ((True,),))
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+    q = FinPoset(("only-here",), ((True,),))
+    assert q is FinPoset(("only-here",), ((True,),), None)

@@ -1,4 +1,6 @@
-"""Embedding-projection and adjoint pairs: predicates, algebra, enumeration."""
+"""Embedding-projection and adjoint pairs: predicates, algebra, enumeration,
+interning."""
+import dataclasses
 import random
 
 import pytest
@@ -67,6 +69,24 @@ def test_top_inclusion_is_neither():
     r = const_map(two(), one_point(), "*")
     assert not is_ep_pair(l, r)
     assert not is_adjoint_pair(l, r)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_predicates_match_defining_equations(seed):
+    # oracle: the defining (in)equations written out pointwise over every
+    # pair of monotone maps between two small random posets
+    rng = random.Random(seed)
+    from epsolve.suite import random_poset
+
+    a, b = random_poset(rng, 3), random_poset(rng, 3)
+    for l in monotone_maps(a, b):
+        for r in monotone_maps(b, a):
+            lr_below_id = all(b.le(l(r(y)), y) for y in b.elems)
+            rl_is_id = all(r(l(x)) == x for x in a.elems)
+            id_below_rl = all(a.le(x, r(l(x))) for x in a.elems)
+            assert is_ep_pair(l, r) == (rl_is_id and lr_below_id)
+            assert is_adjoint_pair(l, r) == (lr_below_id and id_below_rl)
 
 
 def test_predicates_reject_bad_shapes():
@@ -223,6 +243,14 @@ def test_derived_right_leg_is_the_unique_partner(seed):
 def test_pair_json_round_trip():
     f = bottom_inclusion_pair(one_point(), two())
     assert pair_from_json(pair_to_json(f)) == f
+
+
+def test_pair_construction_is_interned():
+    f = bottom_inclusion_pair(one_point(), two())
+    assert f is PairHom(Kind.EP, f.l, f.r) is PairHom(kind=Kind.EP, l=f.l, r=f.r)
+    assert f is pair_from_json(pair_to_json(f)) is dataclasses.replace(f)
+    assert f is enumerate_pairs(one_point(), two(), Kind.EP)[0]
+    assert f != PairHom(Kind.ADJ, f.l, f.r)
 
 
 def test_pair_json_rejects_invalid():
