@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceeded, ShapeMismatch, WitnessError
+from .errors import ShapeMismatch, WitnessError
 from .finposet import (
     FinPoset,
     MapChain,
@@ -229,22 +229,16 @@ def check_local_determination(k: Cocone) -> LdReport:
     return check_local_determination_adj(k)
 
 
-def is_colimiting(k: Cocone, cap: int = DEFAULT_PAIR_CAP) -> bool:
+def is_colimiting(k: Cocone) -> bool:
     """Universal-property oracle by mediator search: k is colimiting iff an
     isomorphism pair u from the canonical colimit's apex satisfies
     u ∘ κ_n = c_n for all n (colimits are unique up to unique iso).
 
     The canonical leg at the stabilization point N is the identity, so the
     commutation condition at N pins the only possible mediator down to
-    u = c_N; the search space collapses to that single candidate.  The cap
-    is the same one the explicit pair enumeration would be subject to.
+    u = c_N; the search space collapses to that single candidate.
     """
     canon = colimit_finite(k.chain)
-    if len(canon.apex) * len(k.apex) > cap:
-        raise CapExceeded(
-            f"is_colimiting: mediator search space {len(canon.apex)}x{len(k.apex)} "
-            f"exceeds cap {cap}"
-        )
     stab = min(k.chain.stab_index, len(k.legs) - 1)
     u = k.legs[stab]
     if not is_iso_pair(u):

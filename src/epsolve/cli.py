@@ -21,14 +21,9 @@ from .equations import (
     solve_report,
 )
 from .errors import CapExceeded
+from .finposet import DEFAULT_ELEM_CAP
 from .functors import preserves_cocone
 from .suite import run_all
-
-DEFAULT_ELEM_CAP = 512
-
-
-def _elem_cap(args) -> int:
-    return args.max_size or DEFAULT_ELEM_CAP
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -44,7 +39,7 @@ def _print_stage_table(stages) -> None:
 
 def cmd_solve(args) -> int:
     try:
-        spec = parse_equation(args.equation, depth=args.depth, elem_cap=_elem_cap(args))
+        spec = parse_equation(args.equation, depth=args.depth, elem_cap=args.max_size)
     except EquationSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
@@ -97,7 +92,7 @@ def cmd_preserve(args) -> int:
     with open(args.cocone) as fh:
         k = cocone_from_json(json.load(fh))
     try:
-        res = preserves_cocone(functor, k, elem_cap=_elem_cap(args))
+        res = preserves_cocone(functor, k, elem_cap=args.max_size)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
@@ -122,8 +117,8 @@ def cmd_verify_theorems(args) -> int:
     results = run_all(
         seed=args.seed,
         chain_count=args.chains,
-        max_size=args.max_size or 4,
-        max_len=args.max_len or 5,
+        max_size=args.max_size,
+        max_len=args.max_len,
         lub_cases=args.lub_cases,
     )
     all_pass = True
@@ -163,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("equation")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=int, default=DEFAULT_ELEM_CAP)
     p.add_argument("--json", metavar="PATH", default=None)
     p.add_argument("--csv", metavar="PATH", default=None)
     p.set_defaults(func=cmd_solve)
@@ -176,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preserve", help="apply a functor to a cocone and recheck")
     p.add_argument("functor")
     p.add_argument("--cocone", metavar="PATH", required=True)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=int, default=DEFAULT_ELEM_CAP)
     p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_preserve)
 
@@ -184,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=int, default=200)
     p.add_argument("--lub-cases", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-len", type=int, default=5)
     p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_verify_theorems)
 

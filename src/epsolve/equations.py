@@ -23,6 +23,7 @@ from .chains import (
 )
 from .errors import CapExceeded
 from .finposet import (
+    DEFAULT_ELEM_CAP,
     FinPoset,
     MonotoneMap,
     canonical_form,
@@ -70,7 +71,7 @@ class EquationSpec:
     text: str
     body: FunctorExpr
     depth: int = 4
-    elem_cap: int = 512
+    elem_cap: int = DEFAULT_ELEM_CAP
 
 
 _TOKEN_RE = re.compile(r"\s*(=|\+|\(|\)|,|[A-Za-z0-9_\-*]+)")
@@ -177,7 +178,7 @@ def parse_functor(text: str) -> FunctorExpr:
     return out
 
 
-def parse_equation(text: str, depth: int = 4, elem_cap: int = 512) -> EquationSpec:
+def parse_equation(text: str, depth: int = 4, elem_cap: int = DEFAULT_ELEM_CAP) -> EquationSpec:
     body = _Parser(text).parse_equation()
     if depth < 0:
         raise ValueError("depth must be >= 0")

@@ -13,11 +13,12 @@ from functools import cache, cached_property
 
 from .errors import CapExceeded, InvalidPoset, NotPointed, ShapeMismatch, WitnessError
 
-#: hard ceiling on monotone-map enumerations, independent of caller caps
+#: ceiling on monotone-map enumerations for callers that set no cap
 HARD_ENUM_LIMIT = 100_000
 
-#: default element cap for function_space
-DEFAULT_FS_CAP = 512
+#: the element cap: largest poset a functor application or function space
+#: may build (the CLI's --max-size)
+DEFAULT_ELEM_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -284,6 +285,7 @@ def lub_map_chain(c: MapChain) -> MonotoneMap:
 # ---------------------------------------------------------------------------
 # constructions
 
+@cache
 def product(p: FinPoset, q: FinPoset) -> FinPoset:
     elems = tuple(f"({a},{b})" for a in p.elems for b in q.elems)
     v = _distinct_elems(elems)  # names with commas can pair up alike
@@ -305,6 +307,7 @@ def product(p: FinPoset, q: FinPoset) -> FinPoset:
     return FinPoset(elems, leq, bottom)
 
 
+@cache
 def coproduct(p: FinPoset, q: FinPoset) -> FinPoset:
     """Disjoint union glued below a fresh bottom (sum of pointed posets)."""
     if not (p.is_pointed and q.is_pointed):
@@ -329,6 +332,7 @@ def coproduct(p: FinPoset, q: FinPoset) -> FinPoset:
     return FinPoset(elems, tuple(rows), "sum-bottom")
 
 
+@cache
 def lift(p: FinPoset) -> FinPoset:
     elems = ("lift-bottom",) + tuple(f"up({e})" for e in p.elems)
     n = len(p) + 1
@@ -338,7 +342,10 @@ def lift(p: FinPoset) -> FinPoset:
     return FinPoset(elems, tuple(rows), "lift-bottom")
 
 
-def _enumerate_monotone(p: FinPoset, q: FinPoset, limit: int) -> tuple[MonotoneMap, ...]:
+@cache
+def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple[MonotoneMap, ...]:
+    """All monotone maps p -> q in a fixed (table-lexicographic) order;
+    CapExceeded as soon as a (cap+1)-th map is found."""
     n, m = len(p), len(q)
     if n == 0:
         return (MonotoneMap(p, q, ()),)
@@ -349,8 +356,8 @@ def _enumerate_monotone(p: FinPoset, q: FinPoset, limit: int) -> tuple[MonotoneM
     def rec(i: int) -> None:
         if i == n:
             out.append(MonotoneMap(p, q, tuple(tab)))
-            if len(out) > limit:
-                raise CapExceeded(f"more than {limit} monotone maps {p!r} -> {q!r}")
+            if len(out) > cap:
+                raise CapExceeded(f"more than {cap} monotone maps from {n} to {m} elements")
             return
         for v in range(m):
             ok = True
@@ -369,25 +376,17 @@ def _enumerate_monotone(p: FinPoset, q: FinPoset, limit: int) -> tuple[MonotoneM
     return tuple(out)
 
 
-@cache
-def monotone_maps(p: FinPoset, q: FinPoset) -> tuple[MonotoneMap, ...]:
-    """All monotone maps p -> q in a fixed (table-lexicographic) order."""
-    return _enumerate_monotone(p, q, HARD_ENUM_LIMIT)
-
-
 def fs_name(f: MonotoneMap) -> str:
     """Deterministic element name for a map inside a function-space poset."""
     return "{" + ",".join(f"{d}:{c}" for d, c in f.mapping().items()) + "}"
 
 
 def function_space_maps(
-    p: FinPoset, q: FinPoset, cap: int = DEFAULT_FS_CAP
+    p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP
 ) -> tuple[FinPoset, tuple[MonotoneMap, ...]]:
     """The poset of monotone maps p -> q together with the maps themselves,
     aligned index-for-index with the poset's elements."""
-    maps = monotone_maps(p, q)
-    if len(maps) > cap:
-        raise CapExceeded(f"function space has {len(maps)} elements, cap {cap}")
+    maps = monotone_maps(p, q, cap)
     elems = tuple(fs_name(f) for f in maps)
     v = _distinct_elems(elems)  # names with ':' or ',' can render two maps alike
     if v is not None:
@@ -399,7 +398,7 @@ def function_space_maps(
     return FinPoset(elems, leq, bottom), maps
 
 
-def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_FS_CAP) -> FinPoset:
+def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP) -> FinPoset:
     return function_space_maps(p, q, cap)[0]
 
 

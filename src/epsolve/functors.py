@@ -19,7 +19,7 @@ from .chains import (
 )
 from .errors import CapExceeded, ShapeMismatch
 from .finposet import (
-    DEFAULT_FS_CAP,
+    DEFAULT_ELEM_CAP,
     FinPoset,
     MapChain,
     MonotoneMap,
@@ -30,6 +30,7 @@ from .finposet import (
     leq_map,
     lift,
     lub_map_chain,
+    monotone_maps,
     product,
 )
 from .opairs import DEFAULT_PAIR_CAP, Kind, PairHom, _CHECKS, enumerate_pairs, pair_compose, pair_identity, pair_leq
@@ -114,9 +115,16 @@ def has_fun(e: FunctorExpr) -> bool:
             return False
 
 
+def _check_size(n: int, elem_cap: int) -> None:
+    if n > elem_cap:
+        raise CapExceeded(f"object of size {n} exceeds cap {elem_cap}")
+
+
 @cache
-def apply_obj(e: FunctorExpr, p: FinPoset, elem_cap: int = DEFAULT_FS_CAP) -> FinPoset:
-    """Object part: structural interpretation via the poset constructions."""
+def apply_obj(e: FunctorExpr, p: FinPoset, elem_cap: int = DEFAULT_ELEM_CAP) -> FinPoset:
+    """Object part: structural interpretation via the poset constructions.
+    Each result is checked against elem_cap.  A product is sized before it
+    is built: its factors fit the cap, but it can hold cap² elements."""
     match e:
         case Id():
             out = p
@@ -125,7 +133,9 @@ def apply_obj(e: FunctorExpr, p: FinPoset, elem_cap: int = DEFAULT_FS_CAP) -> Fi
         case Lift(arg):
             out = lift(apply_obj(arg, p, elem_cap))
         case Prod(a, b):
-            out = product(apply_obj(a, p, elem_cap), apply_obj(b, p, elem_cap))
+            pa, pb = apply_obj(a, p, elem_cap), apply_obj(b, p, elem_cap)
+            _check_size(len(pa) * len(pb), elem_cap)
+            out = product(pa, pb)
         case Sum(a, b):
             out = coproduct(apply_obj(a, p, elem_cap), apply_obj(b, p, elem_cap))
         case Fun(a, b):
@@ -136,8 +146,7 @@ def apply_obj(e: FunctorExpr, p: FinPoset, elem_cap: int = DEFAULT_FS_CAP) -> Fi
             out = apply_obj(outer, apply_obj(inner, p, elem_cap), elem_cap)
         case _:
             raise TypeError(f"unknown functor expression {e!r}")
-    if len(out) > elem_cap:
-        raise CapExceeded(f"object of size {len(out)} exceeds cap {elem_cap}")
+    _check_size(len(out), elem_cap)
     return out
 
 
@@ -186,7 +195,7 @@ def apply_mor(e: FunctorExpr, f: MonotoneMap) -> MonotoneMap:
 
 
 @cache
-def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_FS_CAP) -> PairHom:
+def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -> PairHom:
     """Pair action: componentwise on covariant nodes, symmetrized on fun."""
     match e:
         case Id():
@@ -256,11 +265,7 @@ def check_local_continuity(
     there the check reduces to preservation of constant chains.
     """
     if not has_fun(e):
-        from .finposet import monotone_maps
-
-        maps = monotone_maps(a, b)
-        if len(maps) > cap:
-            raise CapExceeded(f"hom-poset has {len(maps)} maps, cap {cap}")
+        maps = monotone_maps(a, b, cap)
         images = {f: apply_mor(e, f) for f in maps}
         for f in maps:
             for g in maps:
@@ -294,7 +299,7 @@ class PreservationResult:
     locally_determined: LdReport
 
 
-def preserves_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_FS_CAP) -> PreservationResult:
+def preserves_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> PreservationResult:
     """Apply the functor to the whole cocone and rerun the checkers on the
     image."""
     objects = tuple(apply_obj(e, p, elem_cap) for p in k.chain.objects)

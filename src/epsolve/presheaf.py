@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .chains import Cocone, _e_stab, _round_trips
 from .errors import CapExceeded, InvalidCategory, ShapeMismatch
 from .finposet import (
-    DEFAULT_FS_CAP,
+    DEFAULT_ELEM_CAP,
     FinPoset,
     MapChain,
     MonotoneMap,
@@ -106,7 +106,7 @@ class PosetOCategory:
         return self._maps[(a, b)][t]
 
 
-def build_poset_category(posets: dict, cap: int = DEFAULT_FS_CAP) -> PosetOCategory:
+def build_poset_category(posets: dict, cap: int = DEFAULT_ELEM_CAP) -> PosetOCategory:
     names = tuple(posets)
     hom = {}
     maps = {}

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from epsolve.chains import cocone_to_json, colimit_finite
-from epsolve.cli import main
+from epsolve.cli import build_parser, main
+from epsolve.finposet import DEFAULT_ELEM_CAP
 from epsolve.suite import counterexample_cocone
 from tests.test_chains import n1_chain
 
@@ -62,6 +63,40 @@ def test_solve_env_cap_override(capsys):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_solve_max_size_zero_is_a_cap(capsys):
+    assert main(["solve", "D = lift(D)", "--max-size", "0"]) == 2
+    assert "cap exceeded" in capsys.readouterr().err
+
+
+def test_cli_defaults_live_in_argparse():
+    solve = build_parser().parse_args(["solve", "D = lift(D)"])
+    assert solve.max_size == DEFAULT_ELEM_CAP == 512
+    suite = build_parser().parse_args(["verify-theorems"])
+    assert (suite.max_size, suite.max_len) == (4, 5)
+
+
+def test_solve_function_space_cap_message_is_short(capsys):
+    assert main(["solve", "D = lift(fun(D,const(diamond)))", "--depth", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded")
+    assert len(err.encode()) < 200
+
+
+def test_solve_product_sized_before_it_is_built(monkeypatch, capsys):
+    import epsolve.functors as functors
+
+    real_product = functors.product
+
+    def guarded(p, q):
+        assert len(p) * len(q) <= DEFAULT_ELEM_CAP, "product built past the cap"
+        return real_product(p, q)
+
+    monkeypatch.setattr(functors, "product", guarded)
+    body = "D = prod(lift(lift(lift(D))),lift(lift(lift(D))))"
+    assert main(["solve", body, "--depth", "3"]) == 2
+    assert "object of size 132496 exceeds cap 512" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -112,6 +147,15 @@ def test_check_ld_json_report(counterexample_path, tmp_path):
 def test_preserve_lift_on_canonical_exit_0(canonical_path, capsys):
     assert main(["preserve", "lift(D)", "--cocone", canonical_path]) == 0
     out = capsys.readouterr().out
+    assert "colimiting: True" in out
+    assert "locally determined: True" in out
+
+
+def test_preserve_nine_element_image_is_colimiting(canonical_path, capsys):
+    # the image apex has 9 elements; no mediator search bounds is_colimiting
+    assert main(["preserve", "lift(prod(D,prod(D,D)))", "--cocone", canonical_path]) == 0
+    out = capsys.readouterr().out
+    assert "image apex size: 9" in out
     assert "colimiting: True" in out
     assert "locally determined: True" in out
 

@@ -294,6 +294,22 @@ def test_function_space_cap():
         function_space(three(), three(), cap=5)
 
 
+def test_function_space_enumeration_stops_at_cap(monkeypatch):
+    import epsolve.finposet as finposet
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        assert len(built) <= 11, "enumeration ran past cap + 1 maps"
+        return MonotoneMap(*args)
+
+    monkeypatch.setattr(finposet, "MonotoneMap", counting)
+    with pytest.raises(CapExceeded, match="more than 10 monotone maps"):
+        function_space_maps(antichain(8), antichain(8), cap=10)
+    assert len(built) == 11
+
+
 def test_function_space_maps_aligned():
     fs, maps = function_space_maps(two(), two())
     assert len(fs) == len(maps)

@@ -83,6 +83,17 @@ def test_apply_obj_cap():
         apply_obj(Fun(Id(), Id()), diamond(), elem_cap=8)
 
 
+def test_apply_obj_sizes_product_before_building(monkeypatch):
+    import epsolve.functors as functors
+
+    def unreachable(p, q):
+        raise AssertionError(f"product of {len(p)}x{len(q)} built past the cap")
+
+    monkeypatch.setattr(functors, "product", unreachable)
+    with pytest.raises(CapExceeded, match="object of size 1600 exceeds cap 512"):
+        apply_obj(Prod(Id(), Id()), chain_poset(40), elem_cap=512)
+
+
 def test_has_fun():
     assert has_fun(Fun(Id(), Id()))
     assert has_fun(Lift(Prod(Id(), Fun(Id(), Id()))))
