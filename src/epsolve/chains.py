@@ -137,23 +137,17 @@ def colimit_finite(d: OmegaChain) -> Cocone:
     if d.stab_index is None:
         raise WitnessError("colimit_finite needs a stabilization witness")
     validate_chain(d)
-    stab = min(d.stab_index, len(d.objects) - 1)
-    apex = d.objects[stab]
-    # accumulate the link composites in one backward and one forward pass
-    legs = [pair_identity(apex, d.kind)] * len(d.objects)
-    for n in range(stab - 1, -1, -1):
-        legs[n] = pair_compose(legs[n + 1], d.links[n])
-    for n in range(stab + 1, len(d.objects)):
-        legs[n] = pair_inverse(pair_compose(d.links[n - 1], pair_inverse(legs[n - 1])))
-    return Cocone(d, apex, tuple(legs))
+    last = len(d.objects) - 1
+    stab = min(d.stab_index, last)
+    return cocone_from_final_leg(d, pair_inverse(link_composite(d, stab, last)))
 
 
 def cocone_from_final_leg(d: OmegaChain, final: PairHom) -> Cocone:
     """The unique cocone over d whose last leg is `final`; earlier legs are
-    forced by commutation."""
-    last = len(d.objects) - 1
-    legs = [pair_compose(final, link_composite(d, n, last)) for n in range(last)]
-    legs.append(final)
+    forced by commutation, c_n = c_{n+1} ∘ link_n, in one backward pass."""
+    legs = [final] * len(d.objects)
+    for n in range(len(d.links) - 1, -1, -1):
+        legs[n] = pair_compose(legs[n + 1], d.links[n])
     return Cocone(d, final.tgt, tuple(legs))
 
 
@@ -169,21 +163,28 @@ def _round_trips(k: Cocone) -> list[MonotoneMap]:
     return [compose(leg.l, leg.r) for leg in k.legs]
 
 
-def _defects(es: list[MonotoneMap], apex: FinPoset) -> tuple[int, ...]:
-    ident = identity(apex)
-    return tuple(sum(1 for a, b in zip(e.table, ident.table) if a != b) for e in es)
+def _defects(maps: list[MonotoneMap], target: MonotoneMap) -> tuple[int, ...]:
+    """Per map, the number of elements where it differs from target."""
+    return tuple(sum(1 for a, b in zip(m.table, target.table) if a != b) for m in maps)
+
+
+def _apex_condition(k: Cocone) -> tuple[bool, tuple[int, ...]]:
+    """Whether the lub of the round trips c_n^L ∘ c_n^R is the apex identity,
+    and each round trip's defect against that identity."""
+    es = _round_trips(k)
+    try:
+        lub = lub_map_chain(MapChain(tuple(es), _e_stab(k)))
+    except WitnessError as exc:
+        raise WitnessError(f"invalid cocone: {exc}") from exc
+    ident = identity(k.apex)
+    return lub == ident, _defects(es, ident)
 
 
 def check_local_determination_ep(k: Cocone) -> LdReport:
     """Locally determined iff the lub of c_n^L ∘ c_n^R is the apex identity."""
     if k.kind != Kind.EP:
         raise ShapeMismatch("check_local_determination_ep: EP cocone required")
-    es = _round_trips(k)
-    try:
-        lub = lub_map_chain(MapChain(tuple(es), _e_stab(k)))
-    except WitnessError as exc:
-        raise WitnessError(f"invalid cocone: {exc}") from exc
-    return LdReport(Kind.EP, lub == identity(k.apex), _defects(es, k.apex))
+    return LdReport(Kind.EP, *_apex_condition(k))
 
 
 def check_local_determination_adj(k: Cocone) -> LdReport:
@@ -191,36 +192,27 @@ def check_local_determination_adj(k: Cocone) -> LdReport:
     identity, and for each n the inner round-trips reach c_n^R ∘ c_n^L."""
     if k.kind != Kind.ADJ:
         raise ShapeMismatch("check_local_determination_adj: ADJ cocone required")
-    es = _round_trips(k)
+    first_ok, defects = _apex_condition(k)
     stab = _e_stab(k)
-    try:
-        lub = lub_map_chain(MapChain(tuple(es), stab))
-    except WitnessError as exc:
-        raise WitnessError(f"invalid cocone: {exc}") from exc
-    first_ok = lub == identity(k.apex)
-
     second_ok = True
     residuals = []
-    last = len(k.legs) - 1
-    for n in range(len(k.legs)):
-        target = compose(k.legs[n].r, k.legs[n].l)
-        ts = []
-        for m in range(n, last + 1):
-            comp = link_composite(k.chain, n, m)
+    for n, leg in enumerate(k.legs):
+        target = compose(leg.r, leg.l)
+        # the composites Δ_n -> Δ_m for m = n, n+1, ..., one link at a time
+        comp = pair_identity(k.chain.objects[n], k.kind)
+        ts = [compose(comp.r, comp.l)]
+        for link in k.chain.links[n:]:
+            comp = pair_compose(link, comp)
             ts.append(compose(comp.r, comp.l))
-        t_stab = max(stab - n, 0)
+        t_stab = min(max(stab - n, 0), len(ts) - 1)
         try:
-            inner_lub = lub_map_chain(MapChain(tuple(ts), min(t_stab, len(ts) - 1)))
+            inner_lub = lub_map_chain(MapChain(tuple(ts), t_stab))
         except WitnessError as exc:
             raise WitnessError(f"invalid chain at stage {n}: {exc}") from exc
         if inner_lub != target:
             second_ok = False
-        residuals.append(
-            tuple(sum(1 for a, b in zip(t.table, target.table) if a != b) for t in ts)
-        )
-    return LdReport(
-        Kind.ADJ, first_ok and second_ok, _defects(es, k.apex), tuple(residuals)
-    )
+        residuals.append(_defects(ts, target))
+    return LdReport(Kind.ADJ, first_ok and second_ok, defects, tuple(residuals))
 
 
 def check_local_determination(k: Cocone) -> LdReport:
@@ -285,8 +277,7 @@ def thread_approximant(d: OmegaChain, depth: int) -> Cocone:
     if not 0 <= depth < len(d.objects):
         raise IndexError("depth out of range")
     trunc = OmegaChain(d.objects[: depth + 1], d.links[:depth], stab_index=depth)
-    legs = tuple(link_composite(trunc, n, depth) for n in range(depth + 1))
-    return Cocone(trunc, d.objects[depth], legs)
+    return cocone_from_final_leg(trunc, pair_identity(d.objects[depth], trunc.kind))
 
 
 # ---------------------------------------------------------------------------

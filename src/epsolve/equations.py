@@ -11,6 +11,7 @@ Grammar (LL(1), whitespace-insensitive, case-sensitive)::
 """
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 
@@ -240,23 +241,17 @@ def solve_report(spec: EquationSpec, seed: int | None = None) -> RunReport:
     report = RunReport(spec.text, spec.depth, seed, stabilized_at=d.stab_index)
 
     # per-depth defect rows from thread approximants (row d has entries n <= d)
-    matrix = []
-    last_row: list[int] = []
-    for depth in range(len(d.objects)):
-        approx = thread_approximant(d, depth)
-        ld = check_local_determination(approx)
-        row = list(ld.defects)
-        matrix.append(row)
-        last_row = row
-    report.defect_matrix = matrix
-
+    report.defect_matrix = [
+        list(check_local_determination(thread_approximant(d, depth)).defects)
+        for depth in range(len(d.objects))
+    ]
     for n, p in enumerate(d.objects):
         report.stages.append(
             {
                 "n": n,
                 "size": len(p),
                 "canonical_form": canonical_form(p),
-                "defect": last_row[n] if n < len(last_row) else 0,
+                "defect": report.defect_matrix[-1][n],
             }
         )
 
@@ -267,8 +262,6 @@ def solve_report(spec: EquationSpec, seed: int | None = None) -> RunReport:
 
 
 def report_json_bytes(report: RunReport) -> bytes:
-    import json
-
     return (json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n").encode()
 
 

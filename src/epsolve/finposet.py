@@ -20,6 +20,9 @@ HARD_ENUM_LIMIT = 100_000
 #: may build (the CLI's --max-size)
 DEFAULT_ELEM_CAP = 512
 
+#: most element orderings the canonical-form search will compare
+CANONICAL_ORDER_CAP = 50_000
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -450,8 +453,8 @@ def _canonical(p: FinPoset) -> tuple[str, tuple[int, ...]]:
     for g in ordered_groups:
         for k in range(2, len(g) + 1):
             count *= k
-        if count > 50_000:
-            raise CapExceeded("poset too symmetric/large for canonicalization")
+        if count > CANONICAL_ORDER_CAP:
+            raise CapExceeded(f"more than {CANONICAL_ORDER_CAP} orderings of a {n}-element poset")
 
     best_bits: str | None = None
     best_order: tuple[int, ...] | None = None

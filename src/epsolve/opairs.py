@@ -15,6 +15,7 @@ from .finposet import (
     Interned,
     MonotoneMap,
     compose,
+    const_map,
     identity,
     is_monotone,
     leq_map,
@@ -125,8 +126,6 @@ def bottom_inclusion_pair(pt: FinPoset, q: FinPoset, kind: Kind = Kind.EP) -> Pa
         raise ShapeMismatch("bottom_inclusion_pair: source must be the one-point poset")
     if not q.is_pointed:
         raise ShapeMismatch("bottom_inclusion_pair: target must be pointed")
-    from .finposet import const_map
-
     return make_pair(kind, const_map(pt, q, q.bottom), const_map(q, pt, pt.elems[0]))
 
 

@@ -20,6 +20,7 @@ from .finposet import (
     FinPoset,
     MapChain,
     MonotoneMap,
+    compose,
     fs_name,
     function_space_maps,
     identity,
@@ -28,6 +29,10 @@ from .finposet import (
     monotone_maps,
     poset_to_json,
 )
+
+#: most candidate families (one monotone map per object) that the search
+#: for natural transformations will test
+FAMILY_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,6 @@ def build_poset_category(posets: dict, cap: int = DEFAULT_ELEM_CAP) -> PosetOCat
                 table = {}
                 for tf, mf in maps[(a, b)].items():
                     for tg, mg in maps[(b, c)].items():
-                        from .finposet import compose
-
                         table[(tf, tg)] = fs_name(compose(mg, mf))
                 comp[(a, b, c)] = table
     ids = {a: fs_name(identity(posets[a])) for a in names}
@@ -142,8 +145,6 @@ class Presheaf:
 
 
 def validate_presheaf(k: FinOCategory, p: Presheaf) -> None:
-    from .finposet import compose
-
     for a in k.objects:
         if p.act[(a, a, k.ids[a])] != identity(p.at[a]):
             raise InvalidCategory(f"presheaf does not preserve id at {a}")
@@ -177,8 +178,6 @@ class NatTrans:
 
 def nat_compose(s: NatTrans, t: NatTrans) -> NatTrans:
     """Vertical composition s after t."""
-    from .finposet import compose
-
     return NatTrans({a: compose(s.components[a], t.components[a]) for a in t.components})
 
 
@@ -187,8 +186,6 @@ def nat_leq(s: NatTrans, t: NatTrans) -> bool:
 
 
 def is_natural(k: FinOCategory, p: Presheaf, q: Presheaf, eta: NatTrans) -> bool:
-    from .finposet import compose
-
     for a, b in itertools.product(k.objects, repeat=2):
         for f in k.hom[(a, b)].elems:
             lhs = compose(eta.components[a], p.act[(a, b, f)])
@@ -231,16 +228,14 @@ def yoneda_mor(k: FinOCategory, x: str, y: str, f: str) -> NatTrans:
     return NatTrans(comps)
 
 
-def enumerate_nat_trans(
-    k: FinOCategory, p: Presheaf, q: Presheaf, cap: int = 10_000
-) -> tuple[NatTrans, ...]:
+def enumerate_nat_trans(k: FinOCategory, p: Presheaf, q: Presheaf) -> tuple[NatTrans, ...]:
     """All natural transformations p => q, in a deterministic order."""
     per_object = [monotone_maps(p.at[a], q.at[a]) for a in k.objects]
     total = 1
     for ms in per_object:
         total *= len(ms)
-        if total > cap:
-            raise CapExceeded(f"more than {cap} candidate families")
+        if total > FAMILY_CAP:
+            raise CapExceeded(f"more than {FAMILY_CAP} candidate families")
     out = []
     for combo in itertools.product(*per_object):
         eta = NatTrans(dict(zip(k.objects, combo)))
@@ -249,13 +244,13 @@ def enumerate_nat_trans(
     return tuple(out)
 
 
-def check_fully_faithful(k: FinOCategory, cap: int = 10_000) -> bool:
+def check_fully_faithful(k: FinOCategory) -> bool:
     """f |-> y f is an order-isomorphism hom(a,b) ≅ Nat(y a, y b)."""
     ys = {x: yoneda(k, x) for x in k.objects}
     for a in k.objects:
         for b in k.objects:
             hab = k.hom[(a, b)]
-            nats = enumerate_nat_trans(k, ys[a], ys[b], cap)
+            nats = enumerate_nat_trans(k, ys[a], ys[b])
             img = {f: yoneda_mor(k, a, b, f) for f in hab.elems}
             if len(set(img.values())) != len(hab.elems):
                 return False  # not faithful

@@ -28,14 +28,16 @@ from epsolve.chains import (
 )
 from epsolve.equations import iterate, parse_equation
 from epsolve.errors import WitnessError
-from epsolve.finposet import chain_poset, compose, identity, one_point
+from epsolve.finposet import chain_poset, compose, flat, identity, one_point
 from epsolve.opairs import (
     Kind,
     PairHom,
     bottom_inclusion_pair,
     enumerate_pairs,
+    is_iso_pair,
     pair_compose,
     pair_identity,
+    pair_inverse,
 )
 from epsolve.suite import counterexample_cocone, random_chain
 
@@ -318,6 +320,97 @@ def test_approximant_final_defect_zero():
         report = check_local_determination(thread_approximant(d, depth))
         assert report.defects[depth] == 0
         assert report.defects == tuple(depth - n for n in range(depth + 1))
+
+
+# ---------------------------------------------------------------------------
+# every leg builder agrees with the link-composite definitions
+
+def as_kind(d: OmegaChain, kind: Kind) -> OmegaChain:
+    # an EP pair is also an adjoint pair
+    return OmegaChain(
+        d.objects, tuple(PairHom(kind, f.l, f.r) for f in d.links), d.stab_index
+    )
+
+
+def flat3_cycle_chain() -> OmegaChain:
+    """1 -> flat3 -> flat3 -> flat3, stabilized at 1 by links that cycle the
+    three atoms: isomorphisms that are not their own inverses."""
+    p = flat(3)
+    cycle = next(
+        u
+        for u in enumerate_pairs(p, p)
+        if is_iso_pair(u) and compose(u.l, u.l) != identity(p) != u.l
+    )
+    return OmegaChain(
+        (one_point(), p, p, p), (bottom_inclusion_pair(one_point(), p), cycle, cycle), 1
+    )
+
+
+def oracle_chains() -> list[OmegaChain]:
+    """Seeded random chains of both kinds, the cycle chain, and solver chains
+    witnessed at their last stage."""
+    witnessed = [flat3_cycle_chain()]
+    for body, depth in (("lift(D)", 6), ("sum(D,const(2-chain))", 5)):
+        d = iterate(parse_equation(f"D = {body}", depth=depth))
+        witnessed.append(OmegaChain(d.objects, d.links, depth))
+    chains = []
+    for kind in Kind:
+        chains += [random_chain(random.Random(seed), kind, 4, 5) for seed in range(8)]
+        chains += [as_kind(d, kind) for d in witnessed]
+    return chains
+
+
+ORACLE_CHAINS = oracle_chains()
+
+
+@pytest.mark.parametrize("d", ORACLE_CHAINS)
+def test_colimit_legs_are_link_composites(d):
+    canon = colimit_finite(d)
+    stab = min(d.stab_index, len(d.objects) - 1)
+    for n, leg in enumerate(canon.legs):
+        if n <= stab:
+            assert leg == link_composite(d, n, stab)
+        else:
+            assert leg == pair_inverse(link_composite(d, stab, n))
+    assert cocone_from_final_leg(d, canon.legs[-1]) == canon
+
+
+@pytest.mark.parametrize("d", ORACLE_CHAINS)
+def test_approximant_legs_are_link_composites(d):
+    for depth in range(len(d.objects)):
+        k = thread_approximant(d, depth)
+        assert k.legs == tuple(link_composite(k.chain, n, depth) for n in range(depth + 1))
+
+
+@pytest.mark.parametrize("d", [d for d in ORACLE_CHAINS if d.kind == Kind.ADJ])
+def test_adj_residuals_are_link_composite_rows(d):
+    k = colimit_finite(d)
+    last = len(d.objects) - 1
+    rows = []
+    for n, leg in enumerate(k.legs):
+        target = compose(leg.r, leg.l)
+        row = []
+        for m in range(n, last + 1):
+            c = link_composite(d, n, m)
+            row.append(sum(a != b for a, b in zip(compose(c.r, c.l).table, target.table)))
+        rows.append(tuple(row))
+    assert check_local_determination_adj(k).adj_residuals == tuple(rows)
+
+
+def test_thread_approximant_composes_once_per_leg(monkeypatch):
+    import epsolve.chains as chains
+
+    d = lift_chain(10)
+    calls = []
+    real = chains.pair_compose
+
+    def counting(g, f):
+        calls.append((g, f))
+        return real(g, f)
+
+    monkeypatch.setattr(chains, "pair_compose", counting)
+    thread_approximant(d, 10)
+    assert len(calls) <= 10
 
 
 # ---------------------------------------------------------------------------

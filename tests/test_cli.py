@@ -97,6 +97,14 @@ def test_solve_product_sized_before_it_is_built(monkeypatch, capsys):
     assert "object of size 132496 exceeds cap 512" in capsys.readouterr().err
 
 
+def test_solve_canonical_form_cap_names_sizes(capsys):
+    assert main(["solve", "D = sum(D,D)", "--depth", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "cap exceeded: more than 50000 orderings of a 15-element poset"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
