@@ -73,7 +73,9 @@ class Cocone:
 
     @property
     def kind(self) -> Kind:
-        return self.chain.kind
+        # a chain with one object has no link to carry its kind; every
+        # cocone has at least one leg
+        return self.legs[0].kind
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,8 @@ def is_cocone(k: Cocone) -> bool:
     for n, leg in enumerate(k.legs):
         if leg.kind != k.kind or leg.src != k.chain.objects[n] or leg.tgt != k.apex:
             return False
+    if any(link.kind != k.kind for link in k.chain.links):
+        return False
     for n in range(len(k.legs) - 1):
         if pair_compose(k.legs[n + 1], k.chain.links[n]) != k.legs[n]:
             return False
@@ -277,7 +281,7 @@ def thread_approximant(d: OmegaChain, depth: int) -> Cocone:
     if not 0 <= depth < len(d.objects):
         raise IndexError("depth out of range")
     trunc = OmegaChain(d.objects[: depth + 1], d.links[:depth], stab_index=depth)
-    return cocone_from_final_leg(trunc, pair_identity(d.objects[depth], trunc.kind))
+    return cocone_from_final_leg(trunc, pair_identity(d.objects[depth], d.kind))
 
 
 # ---------------------------------------------------------------------------

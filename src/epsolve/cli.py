@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 
-from .chains import check_local_determination, cocone_from_json
+from .chains import Cocone, check_local_determination, cocone_from_json
 from .demo import yoneda_demo_report
 from .equations import (
     EquationSyntaxError,
@@ -35,6 +35,17 @@ def _print_stage_table(stages) -> None:
     print(f"{'n':>3} {'size':>5} {'defect':>7}  canonical_form")
     for s in stages:
         print(f"{s['n']:>3} {s['size']:>5} {s['defect']:>7}  {s['canonical_form']}")
+
+
+def _load_cocone(path: str) -> Cocone:
+    """Read a cocone file.  JSON of the wrong shape becomes a ValueError
+    naming the file, which `main` reports as an input error."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    try:
+        return cocone_from_json(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed cocone ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_solve(args) -> int:
@@ -70,8 +81,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check_ld(args) -> int:
-    with open(args.cocone) as fh:
-        k = cocone_from_json(json.load(fh))
+    k = _load_cocone(args.cocone)
     report = check_local_determination(k)
     print(f"kind: {report.kind.value}")
     print(f"verdict: {report.verdict}")
@@ -89,8 +99,7 @@ def cmd_preserve(args) -> int:
     except EquationSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    with open(args.cocone) as fh:
-        k = cocone_from_json(json.load(fh))
+    k = _load_cocone(args.cocone)
     try:
         res = preserves_cocone(functor, k, elem_cap=args.max_size)
     except CapExceeded as exc:

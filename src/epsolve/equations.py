@@ -187,28 +187,27 @@ def parse_equation(text: str, depth: int = 4, elem_cap: int = DEFAULT_ELEM_CAP) 
 
 
 def iterate(spec: EquationSpec) -> OmegaChain:
-    """The initial chain Δ_0 = 1, Δ_{n+1} = F(Δ_n), with ep links obtained
-    by applying the functor to the unique starting pair."""
+    """The initial chain Δ_0 = 1, Δ_{n+1} = F(Δ_n): link 0 is the bottom
+    inclusion into F(1), link n+1 is F(link n), and Δ_{n+1} is link n's target."""
     start = one_point()
-    objects = [start]
     links: list[PairHom] = []
     for n in range(spec.depth):
         try:
-            nxt = apply_obj(spec.body, objects[-1], spec.elem_cap)
+            if n == 0:
+                link = bottom_inclusion_pair(start, apply_obj(spec.body, start, spec.elem_cap))
+            else:
+                link = pr_apply_mor(spec.body, links[-1], spec.elem_cap)
         except CapExceeded as exc:
             raise CapExceeded(f"cap exceeded at stage {n + 1}: {exc}") from exc
-        if n == 0:
-            links.append(bottom_inclusion_pair(start, nxt))
-        else:
-            links.append(pr_apply_mor(spec.body, links[-1], spec.elem_cap))
-        objects.append(nxt)
+        links.append(link)
+    objects = (start,) + tuple(f.tgt for f in links)
     # smallest n such that every later link is an iso pair; None when the
     # final link is not an iso (no stabilization observed at this depth)
     n = len(links)
     while n > 0 and is_iso_pair(links[n - 1]):
         n -= 1
     stab = n if (n < len(links) or not links) else None
-    return OmegaChain(tuple(objects), tuple(links), stab)
+    return OmegaChain(objects, tuple(links), stab)
 
 
 @dataclass

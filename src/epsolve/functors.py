@@ -117,36 +117,6 @@ def _check_size(n: int, elem_cap: int) -> None:
         raise CapExceeded(f"object of size {n} exceeds cap {elem_cap}")
 
 
-@cache
-def apply_obj(e: FunctorExpr, p: FinPoset, elem_cap: int = DEFAULT_ELEM_CAP) -> FinPoset:
-    """Object part: structural interpretation via the poset constructions.
-    Each result is checked against elem_cap.  A product is sized before it
-    is built: its factors fit the cap, but it can hold cap² elements."""
-    match e:
-        case Id():
-            out = p
-        case Const(q, _):
-            out = q
-        case Lift(arg):
-            out = lift(apply_obj(arg, p, elem_cap))
-        case Prod(a, b):
-            pa, pb = apply_obj(a, p, elem_cap), apply_obj(b, p, elem_cap)
-            _check_size(len(pa) * len(pb), elem_cap)
-            out = product(pa, pb)
-        case Sum(a, b):
-            out = coproduct(apply_obj(a, p, elem_cap), apply_obj(b, p, elem_cap))
-        case Fun(a, b):
-            out = function_space_maps(
-                apply_obj(a, p, elem_cap), apply_obj(b, p, elem_cap), elem_cap
-            )[0]
-        case Compose(outer, inner):
-            out = apply_obj(outer, apply_obj(inner, p, elem_cap), elem_cap)
-        case _:
-            raise TypeError(f"unknown functor expression {e!r}")
-    _check_size(len(out), elem_cap)
-    return out
-
-
 def lift_map(f: MonotoneMap) -> MonotoneMap:
     dom, cod = lift(f.dom), lift(f.cod)
     # slot 0 is the fresh bottom in both; old elements shift by one
@@ -193,7 +163,10 @@ def apply_mor(e: FunctorExpr, f: MonotoneMap) -> MonotoneMap:
 
 @cache
 def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -> PairHom:
-    """Pair action: componentwise on covariant nodes, symmetrized on fun."""
+    """Pair action: componentwise on covariant nodes, symmetrized on fun.
+    The one interpreter of functor expressions: every node's source and
+    target are checked against elem_cap, and a product is sized before it is
+    built, since its factors fit the cap but it can hold cap² elements."""
     match e:
         case Id():
             out = f
@@ -204,6 +177,8 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
             out = PairHom(f.kind, lift_map(g.l), lift_map(g.r))
         case Prod(a, b):
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
+            _check_size(len(ga.src) * len(gb.src), elem_cap)
+            _check_size(len(ga.tgt) * len(gb.tgt), elem_cap)
             out = PairHom(f.kind, prod_map(ga.l, gb.l), prod_map(ga.r, gb.r))
         case Sum(a, b):
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
@@ -225,9 +200,16 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
             out = pr_apply_mor(outer, pr_apply_mor(inner, f, elem_cap), elem_cap)
         case _:
             raise TypeError(f"unknown functor expression {e!r}")
+    _check_size(len(out.src), elem_cap)
+    _check_size(len(out.tgt), elem_cap)
     if not _CHECKS[f.kind](out.l, out.r):
         raise RuntimeError(f"combinator {e} produced an invalid {f.kind.value} pair")
     return out
+
+
+def apply_obj(e: FunctorExpr, p: FinPoset, elem_cap: int = DEFAULT_ELEM_CAP) -> FinPoset:
+    """Object part, fixed by the action on identities: F(p) = cod F(id_p)."""
+    return pr_apply_mor(e, pair_identity(p), elem_cap).tgt
 
 
 def check_functor_laws(e: FunctorExpr, probes) -> bool:
@@ -288,13 +270,10 @@ class PreservationResult:
 def preserves_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> PreservationResult:
     """Apply the functor to the whole cocone and rerun the checkers on the
     image."""
-    objects = tuple(apply_obj(e, p, elem_cap) for p in k.chain.objects)
     links = tuple(pr_apply_mor(e, f, elem_cap) for f in k.chain.links)
-    image = Cocone(
-        OmegaChain(objects, links, k.chain.stab_index),
-        apply_obj(e, k.apex, elem_cap),
-        tuple(pr_apply_mor(e, leg, elem_cap) for leg in k.legs),
-    )
+    legs = tuple(pr_apply_mor(e, leg, elem_cap) for leg in k.legs)
+    objects = tuple(leg.src for leg in legs)
+    image = Cocone(OmegaChain(objects, links, k.chain.stab_index), legs[0].tgt, legs)
     return PreservationResult(
         image,
         is_colimiting(image),

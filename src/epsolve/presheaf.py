@@ -169,12 +169,6 @@ def validate_presheaf(k: FinOCategory, p: Presheaf) -> None:
 class NatTrans:
     components: dict  # object -> MonotoneMap
 
-    def __eq__(self, other):
-        return isinstance(other, NatTrans) and self.components == other.components
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.components.items(), key=lambda kv: kv[0])))
-
 
 def nat_compose(s: NatTrans, t: NatTrans) -> NatTrans:
     """Vertical composition s after t."""
@@ -252,9 +246,10 @@ def check_fully_faithful(k: FinOCategory) -> bool:
             hab = k.hom[(a, b)]
             nats = enumerate_nat_trans(k, ys[a], ys[b])
             img = {f: yoneda_mor(k, a, b, f) for f in hab.elems}
-            if len(set(img.values())) != len(hab.elems):
+            img_comps = {tuple(t.components[x] for x in k.objects) for t in img.values()}
+            if len(img_comps) != len(hab.elems):
                 return False  # not faithful
-            if set(img.values()) != set(nats):
+            if img_comps != {tuple(t.components[x] for x in k.objects) for t in nats}:
                 return False  # not full
             for f in hab.elems:
                 for g in hab.elems:

@@ -111,6 +111,12 @@ def test_perturbed_legs_break_commutation():
             assert not is_cocone(Cocone(canon.chain, canon.apex, tuple(legs)))
 
 
+def test_legs_of_another_kind_are_not_a_cocone():
+    canon = colimit_finite(n1_chain())
+    legs = tuple(PairHom(Kind.ADJ, leg.l, leg.r) for leg in canon.legs)
+    assert not is_cocone(Cocone(canon.chain, canon.apex, legs))
+
+
 def test_identity_cocone_over_constant_chain():
     pt = one_point()
     d = constant_chain(pt)
@@ -379,7 +385,7 @@ def test_colimit_legs_are_link_composites(d):
 def test_approximant_legs_are_link_composites(d):
     for depth in range(len(d.objects)):
         k = thread_approximant(d, depth)
-        assert k.legs == tuple(link_composite(k.chain, n, depth) for n in range(depth + 1))
+        assert k.legs == tuple(link_composite(d, n, depth) for n in range(depth + 1))
 
 
 @pytest.mark.parametrize("d", [d for d in ORACLE_CHAINS if d.kind == Kind.ADJ])
@@ -395,6 +401,17 @@ def test_adj_residuals_are_link_composite_rows(d):
             row.append(sum(a != b for a, b in zip(compose(c.r, c.l).table, target.table)))
         rows.append(tuple(row))
     assert check_local_determination_adj(k).adj_residuals == tuple(rows)
+
+
+def test_depth_zero_approximant_keeps_the_chain_kind():
+    d = random_chain(random.Random(0), Kind.ADJ, 4, 5)
+    assert d.kind == Kind.ADJ
+    k = thread_approximant(d, 0)
+    assert k.kind == Kind.ADJ
+    assert k.legs[0].kind == Kind.ADJ
+    report = check_local_determination(k)
+    assert report.kind == Kind.ADJ
+    assert report.adj_residuals is not None
 
 
 def test_thread_approximant_composes_once_per_leg(monkeypatch):

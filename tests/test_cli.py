@@ -152,6 +152,25 @@ def test_check_ld_json_report(counterexample_path, tmp_path):
 # ---------------------------------------------------------------------------
 # preserve
 
+def _apex_elems_five():
+    payload = cocone_to_json(colimit_finite(n1_chain()))
+    payload["apex"]["elems"] = 5
+    return payload
+
+
+@pytest.mark.parametrize("subcommand", [["check-ld"], ["preserve", "lift(D)"]], ids=["check-ld", "preserve"])
+@pytest.mark.parametrize(
+    "payload", [{"chain": 1}, [], _apex_elems_five()], ids=["chain-1", "list", "elems-5"]
+)
+def test_malformed_cocone_file_exit_2(subcommand, payload, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main([*subcommand, "--cocone", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_preserve_lift_on_canonical_exit_0(canonical_path, capsys):
     assert main(["preserve", "lift(D)", "--cocone", canonical_path]) == 0
     out = capsys.readouterr().out

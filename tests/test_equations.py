@@ -104,6 +104,23 @@ def test_iterate_links_are_ep():
         assert is_ep_pair(f.l, f.r)
 
 
+def test_iterate_reads_stages_off_links(monkeypatch):
+    import epsolve.equations as equations
+
+    calls = []
+    real = equations.apply_obj
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equations, "apply_obj", counting)
+    d = iterate(parse_equation("D = lift(D)", depth=10))
+    assert len(calls) == 1
+    assert [len(p) for p in d.objects] == list(range(1, 12))
+    assert all(f.tgt == p for f, p in zip(d.links, d.objects[1:]))
+
+
 def test_iterate_respects_elem_cap():
     with pytest.raises(CapExceeded):
         iterate(parse_equation("D = prod(D, const(2-chain))", depth=12, elem_cap=64))

@@ -3,8 +3,9 @@ cocone preservation."""
 import pytest
 
 from epsolve.chains import colimit_finite
-from epsolve.errors import CapExceeded, ShapeMismatch
+from epsolve.errors import CapExceeded, NotPointed, ShapeMismatch
 from epsolve.finposet import (
+    antichain,
     canonical_form,
     chain_poset,
     compose,
@@ -44,7 +45,7 @@ from epsolve.opairs import (
     pair_identity,
     pair_leq,
 )
-from epsolve.suite import counterexample_cocone
+from epsolve.suite import counterexample_cocone, functor_family
 from tests.test_chains import n1_chain
 
 
@@ -92,6 +93,79 @@ def test_apply_obj_sizes_product_before_building(monkeypatch):
     monkeypatch.setattr(functors, "product", unreachable)
     with pytest.raises(CapExceeded, match="object of size 1600 exceeds cap 512"):
         apply_obj(Prod(Id(), Id()), chain_poset(40), elem_cap=512)
+
+
+def structural_obj(e, p, cap):
+    """Object part by structural recursion over the poset constructions: an
+    oracle for the objects that the pair action builds."""
+    match e:
+        case Id():
+            out = p
+        case Const(q, _):
+            out = q
+        case Lift(a):
+            out = lift(structural_obj(a, p, cap))
+        case Prod(a, b):
+            pa, pb = structural_obj(a, p, cap), structural_obj(b, p, cap)
+            if len(pa) * len(pb) > cap:
+                raise CapExceeded("product past the cap")
+            out = product(pa, pb)
+        case Sum(a, b):
+            out = coproduct(structural_obj(a, p, cap), structural_obj(b, p, cap))
+        case Fun(a, b):
+            out = function_space(structural_obj(a, p, cap), structural_obj(b, p, cap), cap)
+        case Compose(outer, inner):
+            out = structural_obj(outer, structural_obj(inner, p, cap), cap)
+    if len(out) > cap:
+        raise CapExceeded("object past the cap")
+    return out
+
+
+def _oracle(e, p, cap):
+    try:
+        return structural_obj(e, p, cap)
+    except (CapExceeded, NotPointed) as exc:
+        return type(exc)
+
+
+ORACLE_POSETS = (one_point(), two(), chain_poset(3), flat(2), diamond(), antichain(2))
+ORACLE_FUNCTORS = functor_family(2, [(one_point(), "unit"), (two(), "2-chain")])
+
+
+@pytest.mark.parametrize("cap", [8, 64])
+@pytest.mark.parametrize("kind", [Kind.EP, Kind.ADJ])
+def test_pair_action_builds_the_structural_objects(kind, cap):
+    pairs = [f for a in ORACLE_POSETS for b in ORACLE_POSETS for f in enumerate_pairs(a, b, kind)]
+    assert len(pairs) >= 20
+    for e in ORACLE_FUNCTORS:
+        for f in pairs:
+            src, tgt = _oracle(e, f.src, cap), _oracle(e, f.tgt, cap)
+            errors = {x for x in (src, tgt) if isinstance(x, type)}
+            if errors:
+                with pytest.raises(tuple(errors)):
+                    pr_apply_mor(e, f, cap)
+                continue
+            g = pr_apply_mor(e, f, cap)
+            assert (g.src, g.tgt) == (src, tgt), (str(e), f)
+            assert apply_obj(e, f.src, cap) is src
+            assert apply_obj(e, f.tgt, cap) is tgt
+
+
+def test_preserves_cocone_reads_objects_off_the_pairs(monkeypatch):
+    import epsolve.functors as functors
+
+    calls = []
+    real = functors.apply_obj
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(functors, "apply_obj", counting)
+    res = preserves_cocone(Lift(Id()), colimit_finite(n1_chain()))
+    assert calls == []
+    assert res.image.chain.objects == (lift(one_point()), lift(two()))
+    assert res.image.apex == lift(two())
 
 
 def test_has_fun():
