@@ -239,11 +239,12 @@ def solve_report(spec: EquationSpec, seed: int | None = None) -> RunReport:
     d = iterate(spec)
     report = RunReport(spec.text, spec.depth, seed, stabilized_at=d.stab_index)
 
-    # per-depth defect rows from thread approximants (row d has entries n <= d)
-    report.defect_matrix = [
-        list(check_local_determination(thread_approximant(d, depth)).defects)
-        for depth in range(len(d.objects))
-    ]
+    # links are checked EP pairs (bottom inclusion, then pr_apply_mor), so e∘p fixes
+    # just the image of Δ_n in Δ_r: defect [r][n] = |Δ_r| − |Δ_n|; the last row is checked
+    sizes = [len(p) for p in d.objects]
+    rows = [[sizes[r] - s for s in sizes[: r + 1]] for r in range(len(sizes) - 1)]
+    last = check_local_determination(thread_approximant(d, len(sizes) - 1))
+    report.defect_matrix = rows + [list(last.defects)]
     for n, p in enumerate(d.objects):
         report.stages.append(
             {

@@ -423,6 +423,8 @@ def _refine_ranks(p: FinPoset) -> list[int]:
     while True:
         ranks = {k: r for r, k in enumerate(sorted(set(key)))}
         rk = [ranks[k] for k in key]
+        if len(ranks) == n:  # discrete: nothing left to split
+            return rk
         new = [
             (
                 rk[i],

@@ -186,7 +186,10 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
         case Fun(a, b):
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
             dom_fs, dom_maps = function_space_maps(ga.src, gb.src, elem_cap)
-            cod_fs, cod_maps = function_space_maps(ga.tgt, gb.tgt, elem_cap)
+            if ga.tgt is ga.src and gb.tgt is gb.src:
+                cod_fs, cod_maps = dom_fs, dom_maps
+            else:
+                cod_fs, cod_maps = function_space_maps(ga.tgt, gb.tgt, elem_cap)
             cod_pos = {m: i for i, m in enumerate(cod_maps)}
             dom_pos = {m: i for i, m in enumerate(dom_maps)}
             l_table = tuple(cod_pos[compose(gb.l, compose(h, ga.r))] for h in dom_maps)

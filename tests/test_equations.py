@@ -1,7 +1,15 @@
 """Equation syntax, the initial chain, and run reports."""
-import pytest
+import dataclasses
+import hashlib
+from unittest import mock
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from epsolve.chains import check_local_determination, thread_approximant
 from epsolve.equations import (
+    EquationSpec,
     EquationSyntaxError,
     NAMED_POSETS,
     iterate,
@@ -12,7 +20,7 @@ from epsolve.equations import (
     solve_report,
 )
 from epsolve.errors import CapExceeded
-from epsolve.functors import Compose, Const, Fun, Id, Lift, Prod, Sum
+from epsolve.functors import Compose, Const, Fun, Id, Lift, Prod, Sum, has_fun
 from epsolve.finposet import one_point
 
 
@@ -155,3 +163,103 @@ def test_report_bytes_deterministic():
 def test_solver_determinism_property():
     result = run_solver_determinism()
     assert result.passed, result.failures
+
+
+# ---------------------------------------------------------------------------
+# defect matrix: closed form against the checker
+
+_LEAVES = st.sampled_from(
+    [Id(), Const(one_point(), "unit")]
+    + [Const(NAMED_POSETS[name], name) for name in ("2-chain", "flat2")]
+)
+
+
+def _bodies(with_fun: bool):
+    """Bodies without fun, or bodies with a fun node at or just below the root."""
+    combinators = [Sum, Prod] + ([Fun] if with_fun else [])
+    trees = st.recursive(
+        _LEAVES,
+        lambda sub: st.one_of(
+            st.builds(Lift, sub),
+            st.builds(lambda c, a, b: c(a, b), st.sampled_from(combinators), sub, sub),
+        ),
+        max_leaves=4,
+    )
+    if not with_fun:
+        return trees
+    funs = st.builds(Fun, trees, trees)
+    return st.one_of(funs, st.builds(Lift, funs), st.builds(Sum, funs, trees), st.builds(Prod, trees, funs))
+
+
+def _iterate_or_skip(spec):
+    """iterate(spec), skipping draws that hit the cap or whose stage names
+    outgrow a few thousand characters: each stage's element names nest the
+    previous stage's, so under fun they grow geometrically with depth, even
+    on one-element stages."""
+    for k in range(spec.depth + 1):
+        try:
+            d = iterate(dataclasses.replace(spec, depth=k))
+        except CapExceeded:
+            assume(False)
+        assume(sum(map(len, d.objects[-1].elems)) <= 5_000)
+    return d
+
+
+@pytest.mark.parametrize("with_fun", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_defect_matrix_matches_the_checker(with_fun, data):
+    """Every row of the reported matrix is the LD checker's defects on that
+    row's thread approximant.  Canonical forms play no part in the matrix,
+    and their ordering search can take seconds on a symmetric stage, so they
+    are stubbed out here."""
+    body = data.draw(_bodies(with_fun))
+    assert has_fun(body) == with_fun
+    spec = EquationSpec("D = <drawn>", body, data.draw(st.integers(0, 10)), 64)
+    d = _iterate_or_skip(spec)
+    with mock.patch("epsolve.equations.canonical_form", lambda p: ""):
+        report = solve_report(spec)
+    assert report.defect_matrix == [
+        list(check_local_determination(thread_approximant(d, r)).defects)
+        for r in range(len(d.objects))
+    ]
+
+
+def test_solve_report_checks_one_approximant(monkeypatch):
+    import epsolve.chains as chains
+    import epsolve.equations as equations
+
+    counts = {"approximant": 0, "ld": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(equations, "thread_approximant", counting("approximant", thread_approximant))
+    monkeypatch.setattr(
+        chains, "check_local_determination_ep", counting("ld", chains.check_local_determination_ep)
+    )
+    report = solve_report(parse_equation("D = lift(D)", depth=20))
+    assert counts == {"approximant": 1, "ld": 1}
+    assert report.defect_matrix[-1] == [20 - n for n in range(21)]
+
+
+# sha256 of report_json_bytes(solve_report(..., seed=0)), pinned from reports
+# in which every defect row ran the LD checker
+GOLDEN_REPORTS = [
+    ("D = lift(D)", 24, "ccafa6ffd44584484de96f963251f3effa2202ce6dd5ce460cebc8aaee995028"),
+    ("D = sum(D,const(2-chain))", 16, "afe8498f2f21ccaaef3b770727e8a4874908460acbea6b351da8572193d7433e"),
+    ("D = lift(sum(D,unit))", 16, "1942f8327c27991c8418300dfe84d4f8121ae678a4babd455bd3e778e4aeca4f"),
+    ("D = sum(lift(D),const(3-chain))", 12, "b999c8157b32e27ccf163d0020f0b39ed2b1758f7fd2b3a5a70601c93e614df8"),
+    ("D = lift(fun(D,D))", 3, "a4f2cbcbf47f9413121f7a4ef28aadb6448300c58d79c58a6da49e70fa2a62a6"),
+    ("D = fun(D,D)", 3, "26528f86e32414d3a05f3fdf8b52ecd98b41bc455ff70e4269231a6b1c399613"),
+]
+
+
+@pytest.mark.parametrize("text,depth,digest", GOLDEN_REPORTS)
+def test_golden_report_bytes(text, depth, digest):
+    report = solve_report(parse_equation(text, depth=depth), seed=0)
+    assert hashlib.sha256(report_json_bytes(report)).hexdigest() == digest

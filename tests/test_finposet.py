@@ -356,6 +356,42 @@ def test_canonical_form_agrees_with_iso_search(seed):
         assert_order_iso(w)
 
 
+def _refine_ranks_unshortened(p):
+    """Refinement that runs until the class count stops growing, with no
+    early exit at a discrete partition."""
+    n = len(p)
+    bot = p.elems.index(p.bottom) if p.bottom is not None else -1
+    key = [
+        (sum(p.leq[j][i] for j in range(n)), sum(p.leq[i][j] for j in range(n)), i == bot)
+        for i in range(n)
+    ]
+    while True:
+        ranks = {k: r for r, k in enumerate(sorted(set(key)))}
+        rk = [ranks[k] for k in key]
+        new = [
+            (
+                rk[i],
+                tuple(sorted(rk[j] for j in range(n) if p.leq[j][i])),
+                tuple(sorted(rk[j] for j in range(n) if p.leq[i][j])),
+            )
+            for i in range(n)
+        ]
+        if len(set(new)) == len(set(key)):
+            return rk
+        key = new
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_refine_ranks_matches_unshortened_loop(seed):
+    from epsolve.finposet import _refine_ranks
+    from epsolve.suite import random_poset
+
+    rng = random.Random(seed)
+    for p in (random_poset(rng, 8), lift(random_poset(rng, 4, pointed=True)), antichain(rng.randint(1, 4))):
+        assert _refine_ranks(p) == _refine_ranks_unshortened(p)
+
+
 # ---------------------------------------------------------------------------
 # JSON
 

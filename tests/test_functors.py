@@ -224,6 +224,27 @@ def test_pr_apply_mor_fun_preserves_identity():
     assert got == pair_identity(function_space(p, p))
 
 
+def test_fun_builds_one_function_space_on_an_identity(monkeypatch):
+    import epsolve.functors as functors
+
+    calls = []
+    real = functors.function_space_maps
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(functors, "function_space_maps", counting)
+    functors.pr_apply_mor.cache_clear()
+    got = apply_obj(Fun(Id(), Id()), diamond())
+    assert len(calls) == 1
+    assert got == function_space(diamond(), diamond())
+    # a non-identity pair still builds both ends
+    calls.clear()
+    pr_apply_mor(Fun(Id(), Id()), bottom_inclusion_pair(one_point(), two()))
+    assert len(calls) == 2
+
+
 def test_pr_apply_mor_preserves_kind():
     for kind in (Kind.EP, Kind.ADJ):
         for f in enumerate_pairs(two(), chain_poset(3), kind):
