@@ -38,13 +38,13 @@ def _print_stage_table(stages) -> None:
 
 
 def _load_cocone(path: str) -> Cocone:
-    """Read a cocone file.  JSON of the wrong shape becomes a ValueError
-    naming the file, which `main` reports as an input error."""
+    """Read a cocone file.  JSON of the wrong shape or failing its checks
+    becomes a ValueError naming the file, reported by `main` as an input error."""
     with open(path) as fh:
         obj = json.load(fh)
     try:
         return cocone_from_json(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed cocone ({type(exc).__name__}: {exc})") from exc
 
 

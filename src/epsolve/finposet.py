@@ -7,6 +7,7 @@ are computed exactly from an explicit stabilization witness.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -55,15 +56,42 @@ class Interned(type):
         return obj
 
 
+def _ones(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _bit_strings(rows: tuple[int, ...]) -> list[str]:
+    """Each n-bit row as a string of "0"/"1" whose j-th character is bit j."""
+    n = len(rows)
+    return [format(row, f"0{n}b")[::-1] for row in rows]
+
+
+#: maps the characters of a bit string to bytes 0/1, selectors for compress
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @dataclass(frozen=True, eq=False)
 class FinPoset(metaclass=Interned):
+    """A finite poset stored as up-set rows: bit j of `up[i]` is set iff elems[i] <= elems[j]."""
+
     elems: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
     bottom: str | None = None
 
     @cached_property
     def _pos(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.elems)}
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Down-set rows, the transpose of `up`: bit i of `down[j]` iff elems[i] <= elems[j]."""
+        return tuple(int("".join(col)[::-1], 2) for col in zip(*_bit_strings(self.up)))
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -72,7 +100,7 @@ class FinPoset(metaclass=Interned):
         return self._pos[e]
 
     def le(self, a: str, b: str) -> bool:
-        return self.leq[self._pos[a]][self._pos[b]]
+        return bool(self.up[self._pos[a]] >> self._pos[b] & 1)
 
     @property
     def is_pointed(self) -> bool:
@@ -92,19 +120,15 @@ def make_poset(elems, pairs, bottom=None) -> FinPoset:
     elems = tuple(elems)
     n = len(elems)
     pos = {e: i for i, e in enumerate(elems)}
-    mat = [[i == j for j in range(n)] for i in range(n)]
+    up = [1 << i for i in range(n)]
     for a, b in pairs:
-        mat[pos[a]][pos[b]] = True
-    # Floyd-Warshall style transitive closure
+        up[pos[a]] |= 1 << pos[b]
+    # Warshall's transitive closure: a row reaching k takes in k's row
     for k in range(n):
         for i in range(n):
-            if mat[i][k]:
-                row = mat[i]
-                mk = mat[k]
-                for j in range(n):
-                    if mk[j]:
-                        row[j] = True
-    p = FinPoset(elems, tuple(tuple(r) for r in mat), bottom)
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    p = FinPoset(elems, tuple(up), bottom)
     v = validate_poset(p)
     if v is not None:
         raise InvalidPoset(v)
@@ -124,33 +148,32 @@ def _distinct_elems(elems: tuple[str, ...]) -> Violation | None:
 
 def validate_poset(p: FinPoset) -> Violation | None:
     """Check all poset axioms; return the first violation or None."""
-    n = len(p.elems)
-    v = _distinct_elems(p.elems)
+    n, up, elems = len(p.elems), p.up, p.elems
+    v = _distinct_elems(elems)
     if v is not None:
         return v
-    if len(p.leq) != n or any(len(row) != n for row in p.leq):
+    full = (1 << n) - 1
+    if len(up) != n or any(row & ~full for row in up):
         return Violation("shape", ())
     for i in range(n):
-        if not p.leq[i][i]:
-            return Violation("reflexivity", (p.elems[i],))
+        if not up[i] >> i & 1:
+            return Violation("reflexivity", (elems[i],))
+    down = p.down
     for i in range(n):
-        for j in range(n):
-            if i != j and p.leq[i][j] and p.leq[j][i]:
-                return Violation("antisymmetry", (p.elems[i], p.elems[j]))
+        both = up[i] & down[i] & ~(1 << i)
+        if both:
+            return Violation("antisymmetry", (elems[i], elems[_ones(both)[0]]))
     for i in range(n):
-        for j in range(n):
-            if not p.leq[i][j]:
-                continue
-            for k in range(n):
-                if p.leq[j][k] and not p.leq[i][k]:
-                    return Violation("transitivity", (p.elems[i], p.elems[j], p.elems[k]))
+        for j in _ones(up[i]):
+            missed = up[j] & ~up[i]
+            if missed:
+                return Violation("transitivity", (elems[i], elems[j], elems[_ones(missed)[0]]))
     if p.bottom is not None:
-        if p.bottom not in p.elems:
+        if p.bottom not in elems:
             return Violation("bottom-membership", (p.bottom,))
-        b = p.elems.index(p.bottom)
-        for j in range(n):
-            if not p.leq[b][j]:
-                return Violation("bottom-least", (p.bottom, p.elems[j]))
+        below = full & ~up[elems.index(p.bottom)]
+        if below:
+            return Violation("bottom-least", (p.bottom, elems[_ones(below)[0]]))
     return None
 
 
@@ -159,15 +182,15 @@ def validate_poset(p: FinPoset) -> Violation | None:
 
 @cache
 def one_point() -> FinPoset:
-    return FinPoset(("*",), ((True,),), "*")
+    return FinPoset(("*",), (1,), "*")
 
 
 @cache
 def chain_poset(n: int) -> FinPoset:
     """Total order v0 < v1 < ... < v{n-1} with v0 as bottom."""
     elems = tuple(f"v{i}" for i in range(n))
-    leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
-    return FinPoset(elems, leq, "v0")
+    full = (1 << n) - 1
+    return FinPoset(elems, tuple(full >> i << i for i in range(n)), "v0")
 
 
 @cache
@@ -189,8 +212,7 @@ def flat(k: int) -> FinPoset:
 @cache
 def antichain(k: int) -> FinPoset:
     elems = tuple(f"a{i}" for i in range(k))
-    leq = tuple(tuple(i == j for j in range(k)) for i in range(k))
-    return FinPoset(elems, leq, elems[0] if k == 1 else None)
+    return FinPoset(elems, tuple(1 << i for i in range(k)), elems[0] if k == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +237,15 @@ class MonotoneMap(metaclass=Interned):
 
 def map_from_dict(dom: FinPoset, cod: FinPoset, mapping: dict[str, str]) -> MonotoneMap:
     missing = [e for e in dom.elems if e not in mapping]
-    if missing:
-        raise ShapeMismatch(f"map table missing entries for {missing}")
+    extra = [e for e in mapping if e not in dom._pos]
+    if missing or extra:
+        raise ShapeMismatch(f"map table missing entries for {missing}, outside the domain {extra}")
     return MonotoneMap(dom, cod, tuple(cod.index(mapping[e]) for e in dom.elems))
 
 
 def is_monotone(f: MonotoneMap) -> bool:
-    n = len(f.dom)
-    leq_d, leq_c, t = f.dom.leq, f.cod.leq, f.table
-    return all(
-        leq_c[t[i]][t[j]]
-        for i in range(n)
-        for j in range(n)
-        if leq_d[i][j]
-    )
+    up_d, up_c, t = f.dom.up, f.cod.up, f.table
+    return all(up_c[t[i]] >> t[j] & 1 for i, row in enumerate(up_d) for j in _ones(row))
 
 
 @cache
@@ -252,8 +269,8 @@ def leq_map(f: MonotoneMap, g: MonotoneMap) -> bool:
     """Pointwise order on a hom-set."""
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("leq_map: maps must share dom and cod")
-    leq = f.cod.leq
-    return all(leq[a][b] for a, b in zip(f.table, g.table))
+    up = f.cod.up
+    return all(up[a] >> b & 1 for a, b in zip(f.table, g.table))
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +311,15 @@ def product(p: FinPoset, q: FinPoset) -> FinPoset:
     v = _distinct_elems(elems)  # names with commas can pair up alike
     if v is not None:
         raise InvalidPoset(v)
-    np_, nq = len(p), len(q)
-    leq = tuple(
-        tuple(
-            p.leq[i1][i2] and q.leq[j1][j2]
-            for i2 in range(np_)
-            for j2 in range(nq)
-        )
-        for i1 in range(np_)
-        for j1 in range(nq)
-    )
+    nq = len(q)
+    # (a,b) sits at i*nq + j: spread p's row to one bit per nq-bit block,
+    # then multiplying by q's row (under nq bits) copies it into each block
+    blocks = [sum(1 << (i * nq) for i in _ones(row)) for row in p.up]
+    up = tuple(spread * row for spread in blocks for row in q.up)
     bottom = None
     if p.is_pointed and q.is_pointed:
         bottom = f"({p.bottom},{q.bottom})"
-    return FinPoset(elems, leq, bottom)
+    return FinPoset(elems, up, bottom)
 
 
 @cache
@@ -318,31 +330,16 @@ def coproduct(p: FinPoset, q: FinPoset) -> FinPoset:
     elems = ("sum-bottom",) + tuple(f"inl({a})" for a in p.elems) + tuple(
         f"inr({b})" for b in q.elems
     )
-    np_, nq = len(p), len(q)
-    n = 1 + np_ + nq
-    rows = []
-    for i in range(n):
-        row = [False] * n
-        if i == 0:
-            row = [True] * n
-        elif i <= np_:
-            for j in range(np_):
-                row[1 + j] = p.leq[i - 1][j]
-        else:
-            for j in range(nq):
-                row[1 + np_ + j] = q.leq[i - 1 - np_][j]
-        rows.append(tuple(row))
-    return FinPoset(elems, tuple(rows), "sum-bottom")
+    full = (1 << len(elems)) - 1
+    up = (full,) + tuple(row << 1 for row in p.up) + tuple(row << (1 + len(p)) for row in q.up)
+    return FinPoset(elems, up, "sum-bottom")
 
 
 @cache
 def lift(p: FinPoset) -> FinPoset:
     elems = ("lift-bottom",) + tuple(f"up({e})" for e in p.elems)
-    n = len(p) + 1
-    rows = [tuple([True] * n)]
-    for i in range(len(p)):
-        rows.append((False,) + tuple(p.leq[i][j] for j in range(len(p))))
-    return FinPoset(elems, tuple(rows), "lift-bottom")
+    full = (1 << len(elems)) - 1
+    return FinPoset(elems, (full,) + tuple(row << 1 for row in p.up), "lift-bottom")
 
 
 @cache
@@ -354,7 +351,10 @@ def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple
         return (MonotoneMap(p, q, ()),)
     out: list[MonotoneMap] = []
     tab = [0] * n
-    leq_p, leq_q = p.leq, q.leq
+    # the earlier positions below and above position i
+    below = [_ones(row & ((1 << i) - 1)) for i, row in enumerate(p.down)]
+    above = [_ones(row & ((1 << i) - 1)) for i, row in enumerate(p.up)]
+    up_q, down_q = q.up, q.down
 
     def rec(i: int) -> None:
         if i == n:
@@ -362,18 +362,14 @@ def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple
             if len(out) > cap:
                 raise CapExceeded(f"more than {cap} monotone maps from {n} to {m} elements")
             return
-        for v in range(m):
-            ok = True
-            for j in range(i):
-                if leq_p[j][i] and not leq_q[tab[j]][v]:
-                    ok = False
-                    break
-                if leq_p[i][j] and not leq_q[v][tab[j]]:
-                    ok = False
-                    break
-            if ok:
-                tab[i] = v
-                rec(i + 1)
+        cands = (1 << m) - 1
+        for j in below[i]:
+            cands &= up_q[tab[j]]
+        for j in above[i]:
+            cands &= down_q[tab[j]]
+        for v in _ones(cands):
+            tab[i] = v
+            rec(i + 1)
 
     rec(0)
     return tuple(out)
@@ -394,11 +390,11 @@ def function_space_maps(
     v = _distinct_elems(elems)  # names with ':' or ',' can render two maps alike
     if v is not None:
         raise InvalidPoset(v)
-    leq = tuple(tuple(leq_map(f, g) for g in maps) for f in maps)
+    up = tuple(sum(1 << k for k, g in enumerate(maps) if leq_map(f, g)) for f in maps)
     bottom = None
     if q.is_pointed:
         bottom = fs_name(const_map(p, q, q.bottom))
-    return FinPoset(elems, leq, bottom), maps
+    return FinPoset(elems, up, bottom), maps
 
 
 def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP) -> FinPoset:
@@ -412,26 +408,20 @@ def _refine_ranks(p: FinPoset) -> list[int]:
     """Iterated order-invariant refinement of element classes."""
     n = len(p)
     bot = p.elems.index(p.bottom) if p.bottom is not None else -1
-    key: list = [
-        (
-            sum(p.leq[j][i] for j in range(n)),
-            sum(p.leq[i][j] for j in range(n)),
-            i == bot,
-        )
-        for i in range(n)
-    ]
+    up, down = p.up, p.down
+    key: list = [(down[i].bit_count(), up[i].bit_count(), i == bot) for i in range(n)]
+    below = above = None
     while True:
         ranks = {k: r for r, k in enumerate(sorted(set(key)))}
         rk = [ranks[k] for k in key]
         if len(ranks) == n:  # discrete: nothing left to split
             return rk
+        if below is None:  # byte flags per row, so compress picks out the ranks
+            below = [b.encode().translate(_FLAGS) for b in _bit_strings(down)]
+            above = [b.encode().translate(_FLAGS) for b in _bit_strings(up)]
         new = [
-            (
-                rk[i],
-                tuple(sorted(rk[j] for j in range(n) if p.leq[j][i])),
-                tuple(sorted(rk[j] for j in range(n) if p.leq[i][j])),
-            )
-            for i in range(n)
+            (r, tuple(sorted(itertools.compress(rk, b))), tuple(sorted(itertools.compress(rk, a))))
+            for r, b, a in zip(rk, below, above)
         ]
         if len(set(new)) == len(set(key)):
             return rk
@@ -458,15 +448,16 @@ def _canonical(p: FinPoset) -> tuple[str, tuple[int, ...]]:
         if count > CANONICAL_ORDER_CAP:
             raise CapExceeded(f"more than {CANONICAL_ORDER_CAP} orderings of a {n}-element poset")
 
+    # an ordering permutes the characters of each row's bit string with one
+    # itemgetter, which beats testing n^2 bits one at a time (itemgetter()
+    # takes at least one index; with no elements there is no row to permute)
+    rows = _bit_strings(p.up)
     best_bits: str | None = None
     best_order: tuple[int, ...] | None = None
     for perms in itertools.product(*(itertools.permutations(g) for g in ordered_groups)):
         order = tuple(itertools.chain.from_iterable(perms))
-        bits = "".join(
-            "1" if p.leq[order[i]][order[j]] else "0"
-            for i in range(n)
-            for j in range(n)
-        )
+        columns = operator.itemgetter(*order) if order else None
+        bits = "".join(["".join(columns(rows[i])) for i in order])
         if best_bits is None or bits < best_bits:
             best_bits, best_order = bits, order
     assert best_order is not None
@@ -499,19 +490,27 @@ def iso_check(p: FinPoset, q: FinPoset) -> MonotoneMap | None:
 # JSON wire format
 
 def poset_to_json(p: FinPoset) -> dict:
+    """The wire format: the order as an n x n matrix of JSON booleans."""
+    n = len(p)
     return {
         "elems": list(p.elems),
-        "leq": [[bool(b) for b in row] for row in p.leq],
+        "leq": [[bool(row >> j & 1) for j in range(n)] for row in p.up],
         "bottom": p.bottom,
     }
 
 
 def poset_from_json(obj: dict) -> FinPoset:
-    p = FinPoset(
-        tuple(obj["elems"]),
-        tuple(tuple(bool(b) for b in row) for row in obj["leq"]),
-        obj.get("bottom"),
-    )
+    elems, leq = obj["elems"], obj["leq"]
+    if not isinstance(elems, list) or not all(isinstance(e, str) for e in elems):
+        raise InvalidPoset(f"elems must be a list of strings, got {elems!r}")
+    n = len(elems)
+    if not isinstance(leq, list) or len(leq) != n or not all(
+        isinstance(row, list) and len(row) == n and all(isinstance(b, bool) for b in row)
+        for row in leq
+    ):
+        raise InvalidPoset(f"leq must be a {n}x{n} matrix of JSON booleans")
+    up = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in leq)
+    p = FinPoset(tuple(elems), up, obj.get("bottom"))
     v = validate_poset(p)
     if v is not None:
         raise InvalidPoset(v)

@@ -40,18 +40,18 @@ def _check_shapes(l: MonotoneMap, r: MonotoneMap) -> None:
 def is_ep_pair(l: MonotoneMap, r: MonotoneMap) -> bool:
     """r∘l = id and l∘r <= id."""
     _check_shapes(l, r)
-    lt, rt, bleq = l.table, r.table, l.cod.leq
+    lt, rt, bup = l.table, r.table, l.cod.up
     return all(rt[v] == i for i, v in enumerate(lt)) and all(
-        bleq[lt[v]][j] for j, v in enumerate(rt)
+        bup[lt[v]] >> j & 1 for j, v in enumerate(rt)
     )
 
 
 def is_adjoint_pair(l: MonotoneMap, r: MonotoneMap) -> bool:
     """l∘r <= id and id <= r∘l."""
     _check_shapes(l, r)
-    lt, rt, aleq, bleq = l.table, r.table, l.dom.leq, l.cod.leq
-    return all(bleq[lt[v]][j] for j, v in enumerate(rt)) and all(
-        aleq[i][rt[v]] for i, v in enumerate(lt)
+    lt, rt, aup, bup = l.table, r.table, l.dom.up, l.cod.up
+    return all(bup[lt[v]] >> j & 1 for j, v in enumerate(rt)) and all(
+        aup[i] >> rt[v] & 1 for i, v in enumerate(lt)
     )
 
 
@@ -132,19 +132,16 @@ def bottom_inclusion_pair(pt: FinPoset, q: FinPoset, kind: Kind = Kind.EP) -> Pa
 def derived_right_leg(l: MonotoneMap) -> MonotoneMap | None:
     """The only possible right leg for l, for either kind: both pair notions
     make (l, r) a Galois connection, forcing r(b) = max {a : l(a) <= b}."""
-    a, b = l.dom, l.cod
+    a_down, b_down = l.dom.down, l.cod.down
     table = []
-    for jb in range(len(b)):
-        cands = [ia for ia in range(len(a)) if b.leq[l.table[ia]][jb]]
-        best = None
-        for ia in cands:
-            if all(a.leq[other][ia] for other in cands):
-                best = ia
-                break
-        if best is None:
+    for below in b_down:
+        cands = sum(1 << ia for ia, v in enumerate(l.table) if below >> v & 1)
+        # the max is the candidate whose down-set covers every candidate
+        maxes = [ia for ia, d in enumerate(a_down) if cands >> ia & 1 and d & cands == cands]
+        if not maxes:
             return None
-        table.append(best)
-    return MonotoneMap(b, a, tuple(table))
+        table.append(maxes[0])
+    return MonotoneMap(l.cod, l.dom, tuple(table))
 
 
 @cache

@@ -1,4 +1,6 @@
 """Chains of pairs, cocones, canonical colimits, local determination."""
+import hashlib
+import json
 import random
 
 import pytest
@@ -451,3 +453,35 @@ def test_cocone_json_rejects_non_commuting():
 
     with pytest.raises(ShapeMismatch):
         cocone_from_json(bad)
+
+
+# sha256 of json.dumps(cocone_to_json(...), sort_keys=True) for
+# colimit_finite(random_chain(Random(s), kind, 4, 5)), pinned from the
+# bool-matrix representation of the order: the wire format must not move
+GOLDEN_COCONES = {
+    Kind.EP: [
+        "8d3c197083478a9f33be022e18475a62d264e2ba2f61b28a85bda825a6c6acfb",
+        "b85c048180ab08de384d1b315e6f077720937ac3388209ddb9970273a6156890",
+        "bb66b3e9441a5c88ed30c04d04460ee266cb9580f84ca481fb2ac19c86550f2f",
+        "41998bef066367874086d1011a8c243bfaa0fee5fd2760f92a3d995bbb30651b",
+        "4c6bbffac7a374ac176c390e0531dd39316d54ebb191f570844a9c02c3b876bd",
+        "c5c639cc82d3a43866ab5c81821da7ee7b81ea1c51bce06fefe6710af198ef9c",
+    ],
+    Kind.ADJ: [
+        "255d1b13a4cd98223da2d1d21b625046bf446788541d6e409638d6a426e659f4",
+        "f56eec953b711062db5d74d5574c5c8418cf74f7d5845c193fd6bb46b179ff32",
+        "7faf73ecd070ea1415562bcc8ad773f4c5958e223f5ce686278199e5c706ae7f",
+        "9c58d75ae612a2fed318f87f66bc023344cdc57cf0ab506a7124b178eada0619",
+        "6a68ef11505293bd865d5987199098462833470c82d47dd075d591c1510b8e2e",
+        "cd938be4e204c5758f6f38cb976a005fb12b0ec4551802c942c7ab3df5be7d5a",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", [Kind.EP, Kind.ADJ], ids=["EP", "ADJ"])
+@pytest.mark.parametrize("seed", range(6))
+def test_cocone_wire_format_golden(kind, seed):
+    k = colimit_finite(random_chain(random.Random(seed), kind, 4, 5))
+    raw = json.dumps(cocone_to_json(k), sort_keys=True).encode()
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_COCONES[kind][seed]
+    assert cocone_from_json(json.loads(raw)) == k

@@ -171,6 +171,38 @@ def test_malformed_cocone_file_exit_2(subcommand, payload, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def _truthy_non_boolean_leq(payload):
+    payload["apex"]["leq"] = [[1, "no"], [0, 1]]
+
+
+def _non_string_elems(payload):
+    payload["apex"]["elems"] = ["v0", 1]
+
+
+def _table_entry_outside_domain(payload):
+    payload["legs"][1]["l"]["table"]["v2"] = "v1"
+
+
+@pytest.mark.parametrize(
+    "corrupt,reason",
+    [
+        (_truthy_non_boolean_leq, "JSON booleans"),
+        (_non_string_elems, "list of strings"),
+        (_table_entry_outside_domain, "outside the domain"),
+    ],
+    ids=["leq-truthy", "elems-int", "table-extra"],
+)
+def test_check_ld_rejects_invalid_fields(corrupt, reason, tmp_path, capsys):
+    payload = cocone_to_json(colimit_finite(n1_chain()))
+    corrupt(payload)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["check-ld", "--cocone", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and reason in err
+    assert err.count("\n") == 1
+
+
 def test_preserve_lift_on_canonical_exit_0(canonical_path, capsys):
     assert main(["preserve", "lift(D)", "--cocone", canonical_path]) == 0
     out = capsys.readouterr().out

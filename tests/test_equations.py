@@ -256,6 +256,11 @@ GOLDEN_REPORTS = [
     ("D = sum(lift(D),const(3-chain))", 12, "b999c8157b32e27ccf163d0020f0b39ed2b1758f7fd2b3a5a70601c93e614df8"),
     ("D = lift(fun(D,D))", 3, "a4f2cbcbf47f9413121f7a4ef28aadb6448300c58d79c58a6da49e70fa2a62a6"),
     ("D = fun(D,D)", 3, "26528f86e32414d3a05f3fdf8b52ecd98b41bc455ff70e4269231a6b1c399613"),
+    # stages whose refinement classes are not singletons, so the canonical
+    # form's bitstring is read through a permutation within a class
+    ("D = sum(D,D)", 2, "02b3f6d7b694e24bd55a647e3f543fd8a0ff1292363ae79992b0094935b1034e"),
+    ("D = prod(D,const(diamond))", 1, "fcde08edbe485f07ee4a8c3320ed047eeb859fa67d25027d2c76532a26b9f1b5"),
+    ("D = fun(const(diamond),D)", 3, "a69a9483642fe40c288ef8efd27c7a78c7300bc1f799ec96cb1d09c084834c4d"),
 ]
 
 

@@ -15,6 +15,7 @@ from epsolve.finposet import (
     FinPoset,
     MapChain,
     MonotoneMap,
+    Violation,
     antichain,
     canonical_form,
     chain_poset,
@@ -45,6 +46,20 @@ from epsolve.finposet import (
 )
 
 
+@st.composite
+def small_posets(draw, max_size=6, pointed=False):
+    """A poset of at most max_size elements: a random relation between
+    earlier and later positions of a shuffled order, closed by make_poset;
+    pointed ones put a least element first."""
+    n = draw(st.integers(1 if pointed else 0, max_size))
+    order = draw(st.permutations(range(n)))
+    elems = [f"e{i}" for i in order]
+    pairs = [(elems[i], elems[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    if pointed:
+        pairs += [(elems[0], e) for e in elems[1:]]
+    return make_poset(elems, pairs, elems[0] if pointed else None)
+
+
 def two():
     return chain_poset(2)
 
@@ -54,38 +69,99 @@ def three():
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation; bit j of row i is set iff element i <= element j, so a binary
+# literal reads its columns right to left
 
 def test_two_chain_valid():
     assert validate_poset(two()) is None
 
 
 def test_missing_reflexivity_detected():
-    p = FinPoset(("a", "b"), ((False, False), (False, True)))
+    p = FinPoset(("a", "b"), (0b00, 0b10))
     v = validate_poset(p)
     assert v is not None and v.axiom == "reflexivity" and v.witness == ("a",)
 
 
 def test_antisymmetry_violation_detected():
-    p = FinPoset(("a", "b"), ((True, True), (True, True)))
+    p = FinPoset(("a", "b"), (0b11, 0b11))
     v = validate_poset(p)
     assert v is not None and v.axiom == "antisymmetry"
     assert set(v.witness) == {"a", "b"}
 
 
 def test_transitivity_violation_detected():
-    p = FinPoset(
-        ("a", "b", "c"),
-        ((True, True, False), (False, True, True), (False, False, True)),
-    )
+    p = FinPoset(("a", "b", "c"), (0b011, 0b110, 0b100))
     v = validate_poset(p)
     assert v is not None and v.axiom == "transitivity"
 
 
 def test_bottom_must_be_least():
-    p = FinPoset(("a", "b"), ((True, False), (False, True)), bottom="a")
+    p = FinPoset(("a", "b"), (0b01, 0b10), bottom="a")
     v = validate_poset(p)
     assert v is not None and v.axiom == "bottom-least"
+
+
+def test_row_bits_past_the_last_element_are_a_shape_violation():
+    assert validate_poset(FinPoset(("a",), (0b11,))) == Violation("shape", ())
+    assert validate_poset(FinPoset(("a", "b"), (0b01,))) == Violation("shape", ())
+
+
+def _validate_cubic(elems, leq, bottom):
+    """Independent oracle: the poset axioms checked on a bool matrix by
+    direct O(n^3) loops, in validate_poset's order."""
+    n = len(elems)
+    if len(set(elems)) != n:
+        seen = set()
+        for e in elems:
+            if e in seen:
+                return Violation("distinct-elems", (e,))
+            seen.add(e)
+    for i in range(n):
+        if not leq[i][i]:
+            return Violation("reflexivity", (elems[i],))
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return Violation("antisymmetry", (elems[i], elems[j]))
+    for i in range(n):
+        for j in range(n):
+            if not leq[i][j]:
+                continue
+            for k in range(n):
+                if leq[j][k] and not leq[i][k]:
+                    return Violation("transitivity", (elems[i], elems[j], elems[k]))
+    if bottom is not None:
+        if bottom not in elems:
+            return Violation("bottom-membership", (bottom,))
+        b = elems.index(bottom)
+        for j in range(n):
+            if not leq[b][j]:
+                return Violation("bottom-least", (bottom, elems[j]))
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_validate_poset_matches_cubic_oracle(data):
+    n = data.draw(st.integers(0, 6))
+    elems = [f"e{i}" for i in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        elems[data.draw(st.integers(1, n - 1))] = elems[0]
+    leq = [data.draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(n)]
+    # reflexive, antisymmetric relations reach the later axioms
+    if data.draw(st.booleans()):
+        for i in range(n):
+            leq[i][i] = True
+        if data.draw(st.booleans()):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if leq[i][j] and leq[j][i]:
+                        a, b = data.draw(st.sampled_from([(i, j), (j, i)]))
+                        leq[a][b] = False
+    bottom = data.draw(st.sampled_from([None, "zz", *elems]))
+    up = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in leq)
+    p = FinPoset(tuple(elems), up, bottom)
+    assert validate_poset(p) == _validate_cubic(tuple(elems), leq, bottom)
 
 
 def test_make_poset_takes_transitive_closure():
@@ -249,18 +325,71 @@ def test_lift_two_chain_is_three_chain():
     assert lift(two()).bottom == "lift-bottom"
 
 
+# the constructions' orders against their definitions, read through `le`
+
+@given(small_posets(), small_posets())
+@settings(max_examples=60, deadline=None)
+def test_product_order_is_componentwise(p, q):
+    r = product(p, q)
+    assert validate_poset(r) is None and len(r) == len(p) * len(q)
+    for a, b, c, d in itertools.product(p.elems, q.elems, p.elems, q.elems):
+        assert r.le(f"({a},{b})", f"({c},{d})") == (p.le(a, c) and q.le(b, d))
+
+
+@given(small_posets(pointed=True), small_posets(pointed=True))
+@settings(max_examples=60, deadline=None)
+def test_coproduct_order_is_the_glued_disjoint_union(p, q):
+    s = coproduct(p, q)
+    assert validate_poset(s) is None and s.bottom == "sum-bottom"
+    inl = {f"inl({a})": ("l", a) for a in p.elems}
+    inr = {f"inr({b})": ("r", b) for b in q.elems}
+    side = {**inl, **inr, "sum-bottom": None}
+    assert set(s.elems) == set(side)
+    for x, y in itertools.product(s.elems, s.elems):
+        if side[x] is None:
+            expect = True
+        elif side[y] is None or side[x][0] != side[y][0]:
+            expect = False
+        else:
+            expect = (p if side[x][0] == "l" else q).le(side[x][1], side[y][1])
+        assert s.le(x, y) == expect
+
+
+@given(small_posets())
+@settings(max_examples=60, deadline=None)
+def test_lift_order_adds_a_bottom(p):
+    l = lift(p)
+    assert validate_poset(l) is None and l.bottom == "lift-bottom"
+    for a in p.elems:
+        assert l.le("lift-bottom", f"up({a})") and not l.le(f"up({a})", "lift-bottom")
+        for b in p.elems:
+            assert l.le(f"up({a})", f"up({b})") == p.le(a, b)
+
+
+@given(small_posets(max_size=3), small_posets(max_size=4, pointed=True))
+@settings(max_examples=60, deadline=None)
+def test_function_space_order_is_pointwise(p, q):
+    fs, maps = function_space_maps(p, q)
+    assert validate_poset(fs) is None
+    assert sorted(f.table for f in maps) == sorted(brute_force_monotone_tables(p, q))
+    for (x, f), (y, g) in itertools.product(zip(fs.elems, maps), repeat=2):
+        assert fs.le(x, y) == all(q.le(f(a), g(a)) for a in p.elems)
+
+
 # ---------------------------------------------------------------------------
 # function spaces
 
 def brute_force_monotone_tables(p, q):
-    """Independent oracle: filter all |q|^|p| tables by direct definition."""
+    """Independent oracle: filter all |q|^|p| tables by direct definition,
+    reading the orders off the JSON matrices."""
+    leq_p, leq_q = poset_to_json(p)["leq"], poset_to_json(q)["leq"]
     out = []
     for tab in itertools.product(range(len(q)), repeat=len(p)):
         if all(
-            q.leq[tab[i]][tab[j]]
+            leq_q[tab[i]][tab[j]]
             for i in range(len(p))
             for j in range(len(p))
-            if p.leq[i][j]
+            if leq_p[i][j]
         ):
             out.append(tab)
     return out
@@ -358,11 +487,12 @@ def test_canonical_form_agrees_with_iso_search(seed):
 
 def _refine_ranks_unshortened(p):
     """Refinement that runs until the class count stops growing, with no
-    early exit at a discrete partition."""
+    early exit at a discrete partition; it reads the JSON matrix."""
     n = len(p)
     bot = p.elems.index(p.bottom) if p.bottom is not None else -1
+    leq = poset_to_json(p)["leq"]
     key = [
-        (sum(p.leq[j][i] for j in range(n)), sum(p.leq[i][j] for j in range(n)), i == bot)
+        (sum(leq[j][i] for j in range(n)), sum(leq[i][j] for j in range(n)), i == bot)
         for i in range(n)
     ]
     while True:
@@ -371,8 +501,8 @@ def _refine_ranks_unshortened(p):
         new = [
             (
                 rk[i],
-                tuple(sorted(rk[j] for j in range(n) if p.leq[j][i])),
-                tuple(sorted(rk[j] for j in range(n) if p.leq[i][j])),
+                tuple(sorted(rk[j] for j in range(n) if leq[j][i])),
+                tuple(sorted(rk[j] for j in range(n) if leq[i][j])),
             )
             for i in range(n)
         ]
@@ -407,6 +537,28 @@ def test_poset_json_rejects_invalid():
         poset_from_json(bad)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("leq", [[1, "no"], [0, 1]]),  # truthy non-booleans
+        ("leq", [[True, True], [False]]),
+        ("leq", [[True, True]]),
+        ("elems", ["v0", 1]),
+        ("elems", "v0v1"),
+    ],
+)
+def test_poset_json_rejects_malformed_fields(field, value):
+    bad = poset_to_json(two())
+    bad[field] = value
+    with pytest.raises(InvalidPoset):
+        poset_from_json(bad)
+
+
+def test_map_from_dict_rejects_entries_outside_the_domain():
+    with pytest.raises(ShapeMismatch, match="outside the domain"):
+        map_from_dict(two(), two(), {"v0": "v0", "v1": "v1", "v2": "v1"})
+
+
 def test_map_json_round_trip():
     f = map_from_dict(two(), three(), {"v0": "v0", "v1": "v2"})
     assert map_from_json(map_to_json(f)) == f
@@ -416,12 +568,12 @@ def test_map_json_round_trip():
 # interning: equal fields give one object, and == is identity
 
 def test_poset_construction_is_interned():
-    e, l = ("a", "b"), ((True, True), (False, True))
-    p = FinPoset(e, l)
-    assert p is FinPoset(e, l, None) is FinPoset(elems=e, leq=l, bottom=None)
-    assert p is FinPoset(e, leq=l) is dataclasses.replace(p)
+    e, u = ("a", "b"), (0b11, 0b10)
+    p = FinPoset(e, u)
+    assert p is FinPoset(e, u, None) is FinPoset(elems=e, up=u, bottom=None)
+    assert p is FinPoset(e, up=u) is dataclasses.replace(p)
     assert p is make_poset(("a", "b"), [("a", "b")])
-    assert p != FinPoset(e, l, "a") and p != FinPoset(("a", "c"), l)
+    assert p != FinPoset(e, u, "a") and p != FinPoset(("a", "c"), u)
 
 
 def test_map_construction_is_interned():
@@ -438,10 +590,10 @@ def test_poset_json_round_trip_is_the_same_object():
 
 
 def test_unreferenced_poset_is_collected():
-    p = FinPoset(("only-here",), ((True,),))
+    p = FinPoset(("only-here",), (1,))
     ref = weakref.ref(p)
     del p
     gc.collect()
     assert ref() is None
-    q = FinPoset(("only-here",), ((True,),))
-    assert q is FinPoset(("only-here",), ((True,),), None)
+    q = FinPoset(("only-here",), (1,))
+    assert q is FinPoset(("only-here",), (1,), None)
