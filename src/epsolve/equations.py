@@ -246,14 +246,12 @@ def solve_report(spec: EquationSpec, seed: int | None = None) -> RunReport:
     last = check_local_determination(thread_approximant(d, len(sizes) - 1))
     report.defect_matrix = rows + [list(last.defects)]
     for n, p in enumerate(d.objects):
-        report.stages.append(
-            {
-                "n": n,
-                "size": len(p),
-                "canonical_form": canonical_form(p),
-                "defect": report.defect_matrix[-1][n],
-            }
-        )
+        stage = {"n": n, "size": len(p), "defect": report.defect_matrix[-1][n]}
+        try:
+            stage["canonical_form"] = canonical_form(p)
+        except CapExceeded as exc:  # the form labels a stage; without it the solve still stands
+            stage["canonical_form"], stage["canonical_form_cap"] = None, str(exc)
+        report.stages.append(stage)
 
     if d.stab_index is not None:
         cocone = colimit_finite(d)

@@ -390,7 +390,20 @@ def function_space_maps(
     v = _distinct_elems(elems)  # names with ':' or ',' can render two maps alike
     if v is not None:
         raise InvalidPoset(v)
-    up = tuple(sum(1 << k for k, g in enumerate(maps) if leq_map(f, g)) for f in maps)
+    # bit k of above[a][v] is set iff maps[k] sends a to a value >= v, so the
+    # up-set row of f is the and of above[a][f(a)] over the positions a
+    sends = [[0] * len(q) for _ in p.elems]  # bit k of sends[a][u]: maps[k] sends a to u
+    for k, f in enumerate(maps):
+        for a, u in enumerate(f.table):
+            sends[a][u] |= 1 << k
+    above = [[sum(at[u] for u in _ones(row)) for row in q.up] for at in sends]
+    rows = []
+    for f in maps:
+        row = (1 << len(maps)) - 1
+        for a, v in enumerate(f.table):
+            row &= above[a][v]
+        rows.append(row)
+    up = tuple(rows)
     bottom = None
     if q.is_pointed:
         bottom = fs_name(const_map(p, q, q.bottom))
@@ -428,45 +441,230 @@ def _refine_ranks(p: FinPoset) -> list[int]:
         key = new
 
 
+class _Partition:
+    """An ordered partition of a poset's elements (McKay & Piperno, "Practical
+    graph isomorphism, II", 2014): `lab` lists the elements cell by cell, a
+    cell is named by its first position, `end[s]` is where cell s stops, and
+    `loose` maps each non-singleton cell to the bit mask of its elements.
+    Every step depends on positions and counts only, never on element
+    labels, so isomorphic posets take isomorphic steps."""
+
+    __slots__ = ("lab", "end", "loose")
+
+    def __init__(self, lab, end, loose):
+        self.lab, self.end, self.loose = lab, end, loose
+
+    @classmethod
+    def from_ranks(cls, rk: list[int]) -> _Partition:
+        """The classes of the ranks `rk`, in rank order."""
+        n = len(rk)
+        lab = sorted(range(n), key=rk.__getitem__)
+        end, loose, s = [0] * n, {}, 0
+        for i in range(1, n + 1):
+            if i == n or rk[lab[i]] != rk[lab[s]]:
+                end[s] = i
+                if i - s > 1:
+                    loose[s] = sum(1 << v for v in lab[s:i])
+                s = i
+        return cls(lab, end, loose)
+
+    def copy(self) -> _Partition:
+        return _Partition(self.lab[:], self.end[:], self.loose.copy())
+
+    def individualize(self, s: int, v: int, up, down) -> None:
+        """Split v off the front of cell s, then refine to equitable."""
+        lab, end, loose = self.lab, self.end, self.loose
+        i = lab.index(v, s)
+        lab[s], lab[i] = v, lab[s]
+        end[s + 1], end[s] = end[s], s + 1
+        rest = loose.pop(s) & ~(1 << v)
+        if end[s + 1] - s > 2:
+            loose[s + 1] = rest
+        # the cell was equitable, so counts into its rest follow from counts into v
+        self.refine([s], up, down)
+
+    def refine(self, queue: list[int], up, down) -> None:
+        """Split cells by their up- and down-counts into each splitter cell
+        until the partition is equitable.  A split cell's fragments become
+        splitters, all but the largest unless the cell was still queued."""
+        lab, end, loose = self.lab, self.end, self.loose
+        base = len(lab) + 1
+        pending = set(queue)
+        k = 0
+        while k < len(queue) and loose:
+            s = queue[k]
+            k += 1
+            pending.discard(s)
+            if end[s] - s == 1:
+                # a single splitter x splits just the cells that x's down- or
+                # up-set cuts into two nonempty parts
+                x = lab[s]
+                w, below, above = 1 << x, down[x], up[x]
+                cut = [t for t, m in loose.items() if 0 != m & below != m or 0 != m & above != m]
+            else:
+                w, hit = loose[s], 0
+                for v in lab[s : end[s]]:
+                    hit |= up[v] | down[v]
+                cut = [t for t, m in loose.items() if m & hit]
+            for t in sorted(cut):
+                e = end[t]
+                keys = [(up[v] & w).bit_count() * base + (down[v] & w).bit_count() for v in lab[t:e]]
+                if min(keys) == max(keys):
+                    continue
+                ranked = sorted(zip(keys, lab[t:e]))
+                lab[t:e] = [v for _, v in ranked]
+                starts = [t] + [t + i for i in range(1, e - t) if ranked[i][0] != ranked[i - 1][0]]
+                stops = starts[1:] + [e]
+                del loose[t]
+                for a, b in zip(starts, stops):
+                    end[a] = b
+                    if b - a > 1:
+                        loose[a] = sum(1 << v for v in lab[a:b])
+                if t in pending:
+                    new = starts[1:]
+                else:
+                    sizes = [b - a for a, b in zip(starts, stops)]
+                    largest = sizes.index(max(sizes))
+                    new = starts[:largest] + starts[largest + 1 :]
+                queue.extend(new)
+                pending.update(new)
+
+
+def _matrix(rows: list[str], order) -> str:
+    """The relation matrix under `order`, read row by row.  One itemgetter
+    permutes the characters of every row's bit string, which beats testing
+    n^2 bits one at a time."""
+    columns = operator.itemgetter(*order)
+    return "".join(["".join(columns(rows[i])) for i in order])
+
+
+def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple[int, ...]]:
+    """The least matrix string among the leaves of the
+    individualization-refinement tree rooted at the partition `rk`, and the
+    leaf's ordering.
+
+    Each node individualizes the elements of its first non-singleton cell
+    and refines.  A child in the orbit of a tried sibling, under the
+    automorphisms known so far that fix the node's path, is skipped: swaps
+    of twins (equal strict up- and down-sets) are known from the start, and
+    a leaf with the first or the best leaf's string gives one more.  Such a
+    leaf also sends the search back to the node where the two paths part,
+    since below it the leaf's branch mirrors one already searched."""
+    n = len(p)
+    up, down = p.up, p.down
+    cols = _bit_strings(down)
+    twin = [(u ^ 1 << v, d ^ 1 << v) for v, (u, d) in enumerate(zip(up, down))]
+    gens: list[dict[int, int]] = []  # the points each automorphism moves, and where
+    leaves = 0
+    first = best = None  # (ordering, path, string)
+
+    def automorphism(src: tuple[int, ...], dst: tuple[int, ...]) -> dict[int, int] | None:
+        """The moves of src[i] -> dst[i] if it preserves the order, else None.
+        Only the rows and columns of the moved elements can differ."""
+        inv = [0] * n
+        for a, b in zip(src, dst):
+            inv[b] = a
+        image = operator.itemgetter(*inv)
+        moves = {a: b for a, b in zip(src, dst) if a != b}
+        for v, w in moves.items():
+            if "".join(image(rows[v])) != rows[w] or "".join(image(cols[v])) != cols[w]:
+                return None
+        return moves
+
+    def leaf(order: tuple[int, ...], path: list[int]) -> int | None:
+        """Compare a leaf with the first and the best; the level to back up to, or None."""
+        nonlocal leaves, first, best
+        leaves += 1
+        if leaves > CANONICAL_ORDER_CAP:
+            raise CapExceeded(f"more than {CANONICAL_ORDER_CAP} leaf orderings of a {n}-element poset")
+        for seen in () if first is None else (first,) if best is first else (first, best):
+            g = automorphism(seen[0], order)
+            if g is not None:
+                gens.append(g)
+                return next((k for k, (a, b) in enumerate(zip(path, seen[1])) if a != b), len(path))
+        bits = _matrix(rows, order)
+        if best is None or bits < best[2]:
+            best = (order, path, bits)
+        if first is None:
+            first = best
+        return None
+
+    def find(orbit: dict[int, int], x: int) -> int:
+        while orbit[x] != x:
+            x = orbit[x]
+        return x
+
+    def join(orbit: dict[int, int], g: dict[int, int]) -> None:
+        """Merge the orbits g joins; g fixes the node's path, so it maps the cell onto itself."""
+        for x, y in g.items():
+            if x in orbit:
+                a, b = find(orbit, x), find(orbit, y)
+                if a != b:
+                    orbit[b] = a
+
+    def node(part: _Partition, path: list[int], fixing: list[dict[int, int]]) -> list:
+        t = min(part.loose)
+        cell = part.lab[t : part.end[t]]
+        return [part, path, t, cell, iter(cell), [], None, fixing, len(gens)]
+
+    # depth-first, one stack entry per level of the current path; each entry
+    # keeps the automorphisms that fix its path, how many it has looked at,
+    # and, once a second child is due, the orbits of its cell
+    stack = [node(_Partition.from_ranks(rk), [], [])]
+    while stack:
+        frame = stack[-1]
+        part, path, t, cell, todo, tried, orbit, fixing, known = frame
+        if not tried:
+            v = next(todo)
+        else:
+            if orbit is None:  # union-find; twins start joined, as swapping two fixes the rest
+                rep: dict = {}
+                orbit = frame[6] = {x: rep.setdefault(twin[x], x) for x in cell}
+                for g in fixing:
+                    join(orbit, g)
+            for g in gens[known:]:
+                if g.keys().isdisjoint(path):
+                    join(orbit, g)
+                    fixing.append(g)
+            frame[8] = len(gens)
+            done = {find(orbit, u) for u in tried}
+            for v in todo:
+                if find(orbit, v) not in done:
+                    break
+            else:
+                stack.pop()
+                continue
+        tried.append(v)
+        child = part.copy()
+        child.individualize(t, v, up, down)
+        if child.loose:
+            stack.append(node(child, path + [v], [g for g in fixing if v not in g]))
+        else:
+            back = leaf(tuple(child.lab), path + [v])
+            if back is not None:
+                del stack[back + 1 :]
+    return best[2], best[0]
+
+
 @cache
 def _canonical(p: FinPoset) -> tuple[str, tuple[int, ...]]:
-    """Canonical label and the witnessing element ordering.
-
-    Exact: searches all orderings compatible with the refined invariant
-    classes and keeps the lexicographically least relation matrix.
-    """
+    """Canonical label and the witnessing element ordering: the relation
+    matrix, read row by row, under the ordering that the refined invariant
+    classes fix, or else under the least leaf of an
+    individualization-refinement search.  Forms of the first kind start
+    "P", of the second "IR", so the two never meet.  CapExceeded past
+    CANONICAL_ORDER_CAP leaf orderings."""
     n = len(p)
     rk = _refine_ranks(p)
-    groups: dict[int, list[int]] = {}
-    for i, r in enumerate(rk):
-        groups.setdefault(r, []).append(i)
-    ordered_groups = [groups[r] for r in sorted(groups)]
-    count = 1
-    for g in ordered_groups:
-        for k in range(2, len(g) + 1):
-            count *= k
-        if count > CANONICAL_ORDER_CAP:
-            raise CapExceeded(f"more than {CANONICAL_ORDER_CAP} orderings of a {n}-element poset")
-
-    # an ordering permutes the characters of each row's bit string with one
-    # itemgetter, which beats testing n^2 bits one at a time (itemgetter()
-    # takes at least one index; with no elements there is no row to permute)
     rows = _bit_strings(p.up)
-    best_bits: str | None = None
-    best_order: tuple[int, ...] | None = None
-    for perms in itertools.product(*(itertools.permutations(g) for g in ordered_groups)):
-        order = tuple(itertools.chain.from_iterable(perms))
-        columns = operator.itemgetter(*order) if order else None
-        bits = "".join(["".join(columns(rows[i])) for i in order])
-        if best_bits is None or bits < best_bits:
-            best_bits, best_order = bits, order
-    assert best_order is not None
-    if p.bottom is not None:
-        bslot = best_order.index(p.elems.index(p.bottom))
+    if len(set(rk)) == n:
+        order = tuple(sorted(range(n), key=rk.__getitem__))
+        # itemgetter() takes at least one index; no elements, no rows to permute
+        prefix, bits = "P", _matrix(rows, order) if n else ""
     else:
-        bslot = -1
-    form = f"P{n};{best_bits};bot={bslot}"
-    return form, best_order
+        prefix, (bits, order) = "IR", _least_leaf(p, rk, rows)
+    bslot = order.index(p.elems.index(p.bottom)) if p.bottom is not None else -1
+    return f"{prefix}{n};{bits};bot={bslot}", order
 
 
 def canonical_form(p: FinPoset) -> str:

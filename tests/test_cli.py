@@ -97,12 +97,34 @@ def test_solve_product_sized_before_it_is_built(monkeypatch, capsys):
     assert "object of size 132496 exceeds cap 512" in capsys.readouterr().err
 
 
-def test_solve_canonical_form_cap_names_sizes(capsys):
-    assert main(["solve", "D = sum(D,D)", "--depth", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "cap exceeded: more than 50000 orderings of a 15-element poset"
-    ]
+@pytest.mark.parametrize(
+    "body,sizes", [("sum(D,D)", [1, 3, 7, 15]), ("lift(prod(D,D))", [1, 2, 5, 26])]
+)
+def test_solve_symmetric_stages_get_forms(body, sizes, tmp_path):
+    path = tmp_path / "r.json"
+    assert main(["solve", f"D = {body}", "--depth", "3", "--json", str(path)]) == 0
+    stages = json.loads(path.read_text())["stages"]
+    assert [s["size"] for s in stages] == sizes
+    assert all(s["canonical_form"] and "canonical_form_cap" not in s for s in stages)
+
+
+def test_solve_canonical_form_cap_leaves_a_null_form(monkeypatch, tmp_path, capsys):
+    import epsolve.finposet as finposet
+
+    # forms are cached per poset; a cached one would never meet the cap
+    finposet._canonical.cache_clear()
+    monkeypatch.setattr(finposet, "CANONICAL_ORDER_CAP", 1)
+    path = tmp_path / "r.json"
+    assert main(["solve", "D = sum(D,D)", "--depth", "2", "--json", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    stages = json.loads(path.read_text())["stages"]
+    assert [s["size"] for s in stages] == [1, 3, 7]
+    # the 3-element stage's two points are twins, so one leaf decides it; the
+    # 7-element stage's second leaf is the swap of its two summands
+    assert [s["canonical_form"][:3] for s in stages[:2]] == ["P1;", "IR3"]
+    assert not any("canonical_form_cap" in s for s in stages[:2])
+    assert stages[2]["canonical_form"] is None
+    assert stages[2]["canonical_form_cap"] == "more than 1 leaf orderings of a 7-element poset"
 
 
 @pytest.mark.parametrize(

@@ -252,14 +252,16 @@ def test_solve_report_checks_one_approximant(monkeypatch):
 GOLDEN_REPORTS = [
     ("D = lift(D)", 24, "ccafa6ffd44584484de96f963251f3effa2202ce6dd5ce460cebc8aaee995028"),
     ("D = sum(D,const(2-chain))", 16, "afe8498f2f21ccaaef3b770727e8a4874908460acbea6b351da8572193d7433e"),
-    ("D = lift(sum(D,unit))", 16, "1942f8327c27991c8418300dfe84d4f8121ae678a4babd455bd3e778e4aeca4f"),
+    ("D = lift(sum(D,unit))", 16, "519d6ac6bab0f85680e70183b52fb5857a24d5dbca2edfc21983cd3172a71004"),
     ("D = sum(lift(D),const(3-chain))", 12, "b999c8157b32e27ccf163d0020f0b39ed2b1758f7fd2b3a5a70601c93e614df8"),
     ("D = lift(fun(D,D))", 3, "a4f2cbcbf47f9413121f7a4ef28aadb6448300c58d79c58a6da49e70fa2a62a6"),
     ("D = fun(D,D)", 3, "26528f86e32414d3a05f3fdf8b52ecd98b41bc455ff70e4269231a6b1c399613"),
     # stages whose refinement classes are not singletons, so the canonical
-    # form's bitstring is read through a permutation within a class
-    ("D = sum(D,D)", 2, "02b3f6d7b694e24bd55a647e3f543fd8a0ff1292363ae79992b0094935b1034e"),
-    ("D = prod(D,const(diamond))", 1, "fcde08edbe485f07ee4a8c3320ed047eeb859fa67d25027d2c76532a26b9f1b5"),
+    # form is the least leaf of the individualization-refinement search
+    ("D = sum(D,D)", 2, "a9bcea18a5778267edeca39e8ae86c67a9610a0e816416169ba24876ec996d39"),
+    ("D = sum(D,D)", 3, "cd0dcbaefe6647fdd845b55c0274481ef6053596dc8fbaccd67a457e41d6e3e2"),
+    ("D = lift(prod(D,D))", 3, "379e60a7b10cbc31248b02fc88c4b4e24abdd80c66497a9aa81ad9a1f4838431"),
+    ("D = prod(D,const(diamond))", 1, "07cd465f764def2e3d058b31da7a15e7d6a8797ca9f81cda7eb4ab9a158424f0"),
     ("D = fun(const(diamond),D)", 3, "a69a9483642fe40c288ef8efd27c7a78c7300bc1f799ec96cb1d09c084834c4d"),
 ]
 

@@ -439,6 +439,13 @@ def test_function_space_enumeration_stops_at_cap(monkeypatch):
     assert len(built) == 11
 
 
+@given(small_posets(max_size=4), small_posets(max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_function_space_rows_match_leq_map(p, q):
+    fs, maps = function_space_maps(p, q, cap=len(q) ** len(p))
+    assert fs.up == tuple(sum(1 << k for k, g in enumerate(maps) if leq_map(f, g)) for f in maps)
+
+
 def test_function_space_maps_aligned():
     fs, maps = function_space_maps(two(), two())
     assert len(fs) == len(maps)
@@ -464,11 +471,24 @@ def test_iso_check_diamond_vs_product():
     assert_order_iso(w)
 
 
-def assert_order_iso(w: MonotoneMap):
+def assert_order_iso(w: MonotoneMap | None):
+    assert w is not None
     assert sorted(w.table) == list(range(len(w.dom)))
     for a in w.dom.elems:
         for b in w.dom.elems:
             assert w.dom.le(a, b) == w.cod.le(w(a), w(b))
+
+
+def _isomorphic_by_permutations(p, q) -> bool:
+    """Independent oracle: some bijection preserves the order both ways, and
+    both or neither poset is pointed (a bottom, being least, maps to a bottom)."""
+    n = len(p)
+    if n != len(q) or p.is_pointed != q.is_pointed:
+        return False
+    return any(
+        all(bool(p.up[i] >> j & 1) == bool(q.up[perm[i]] >> perm[j] & 1) for i in range(n) for j in range(n))
+        for perm in itertools.permutations(range(n))
+    )
 
 
 @given(st.integers(0, 10**6))
@@ -479,10 +499,136 @@ def test_canonical_form_agrees_with_iso_search(seed):
 
     p = random_poset(rng, 5)
     q = random_poset(rng, 5)
-    w = iso_check(p, q)
-    assert (canonical_form(p) == canonical_form(q)) == (w is not None)
-    if w is not None:
-        assert_order_iso(w)
+    iso = _isomorphic_by_permutations(p, q)
+    assert (canonical_form(p) == canonical_form(q)) == iso
+    if iso:
+        assert_order_iso(iso_check(p, q))
+
+
+def _canonical_by_orderings(p) -> str:
+    """Oracle: the least relation matrix over every ordering that respects
+    the refined classes, the exhaustive search that individualization-refinement
+    replaced.  On posets whose classes are singletons it is the only ordering."""
+    from epsolve.finposet import _bit_strings, _refine_ranks
+
+    rk = _refine_ranks(p)
+    groups = [[i for i in range(len(p)) if rk[i] == r] for r in sorted(set(rk))]
+    rows = _bit_strings(p.up)
+    best_bits, best_order = None, None
+    for perms in itertools.product(*(itertools.permutations(g) for g in groups)):
+        order = tuple(itertools.chain.from_iterable(perms))
+        bits = "".join(rows[i][j] for i in order for j in order)
+        if best_bits is None or bits < best_bits:
+            best_bits, best_order = bits, order
+    bslot = best_order.index(p.index(p.bottom)) if p.bottom is not None else -1
+    return f"P{len(p)};{best_bits};bot={bslot}"
+
+
+@st.composite
+def oracle_posets(draw):
+    """Posets of at most 7 elements: drawn ones, from an antichain up to
+    dense, pointed or not, and the symmetric shapes p x antichain(2) and
+    p + p, whose refined classes are not singletons."""
+    shape = draw(st.sampled_from(["drawn", "product", "sum"]))
+    pointed = shape == "sum" or draw(st.booleans())
+    n = draw(st.integers(1 if pointed else 0, 7 if shape == "drawn" else 3))
+    elems = [f"e{i}" for i in draw(st.permutations(range(n)))]
+    later = [(elems[i], elems[j]) for i in range(n) for j in range(i + 1, n)]
+    pairs = draw(st.lists(st.sampled_from(later), max_size=len(later))) if later else []
+    if pointed:
+        pairs += [(elems[0], e) for e in elems[1:]]
+    p = make_poset(elems, pairs, elems[0] if pointed else None)
+    if shape == "product":
+        return product(p, antichain(2))
+    return coproduct(p, p) if shape == "sum" else p
+
+
+def relabel(p, perm):
+    """p with element i moved to position perm[i] and renamed; the table
+    perm is an order-isomorphism from p to the result."""
+    n = len(p)
+    elems, up = [None] * n, [0] * n
+    for i in range(n):
+        elems[perm[i]] = f"x{p.elems[i]}"
+        up[perm[i]] = sum(1 << perm[j] for j in range(n) if p.up[i] >> j & 1)
+    q = FinPoset(tuple(elems), tuple(up), None if p.bottom is None else f"x{p.bottom}")
+    assert validate_poset(q) is None
+    return q
+
+
+@given(oracle_posets(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_canonical_forms_are_equal_iff_the_oracles_are(p, data):
+    if data.draw(st.booleans()):
+        q = relabel(p, data.draw(st.permutations(range(len(p)))))
+    else:
+        q = data.draw(oracle_posets())
+    assert (canonical_form(p) == canonical_form(q)) == (_canonical_by_orderings(p) == _canonical_by_orderings(q))
+
+
+@given(oracle_posets())
+@settings(max_examples=150, deadline=None)
+def test_root_discrete_forms_are_the_oracles(p):
+    from epsolve.finposet import _refine_ranks
+
+    if len(set(_refine_ranks(p))) == len(p):
+        assert canonical_form(p) == _canonical_by_orderings(p)
+    else:
+        assert canonical_form(p).startswith(f"IR{len(p)};")
+
+
+@given(oracle_posets(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_iso_check_finds_a_relabelling(p, data):
+    q = relabel(p, data.draw(st.permutations(range(len(p)))))
+    assert_order_iso(iso_check(p, q))
+
+
+def test_relabelled_symmetric_stage_has_the_same_form():
+    """The 256-element last stage of a diamond-power equation: 384
+    automorphisms, and far past the cap for a search over orderings."""
+    from epsolve.equations import iterate, parse_equation
+
+    p = iterate(parse_equation("D = prod(prod(const(diamond),D),const(unit))", depth=4)).objects[-1]
+    perm = list(range(len(p)))
+    random.Random(0).shuffle(perm)
+    q = relabel(p, perm)
+    assert len(p) == 256 and canonical_form(q) == canonical_form(p)
+    assert_order_iso(iso_check(p, q))
+
+
+def cycle_incidence(lengths) -> FinPoset:
+    """The vertices of a union of cycles below its edges.  Each vertex lies
+    under two edges and each edge over two vertices, so refinement alone
+    cannot tell a 6-cycle from two triangles; the search must."""
+    elems, pairs, start = [], [], 0
+    for k in lengths:
+        for i in range(k):
+            e = f"e{start + i}"
+            pairs += [(f"v{start + i}", e), (f"v{start + (i + 1) % k}", e)]
+        elems += [f"v{start + i}" for i in range(k)] + [f"e{start + i}" for i in range(k)]
+        start += k
+    return make_poset(elems, pairs)
+
+
+@pytest.mark.parametrize("lengths", [(6, 3, 3), (4, 4, 8), (5, 5, 10), (3, 4, 5, 12)])
+def test_relabelled_cycle_incidence_posets_share_a_form(lengths):
+    p = cycle_incidence(lengths)
+    for seed in range(3):
+        perm = list(range(len(p)))
+        random.Random(seed).shuffle(perm)
+        q = relabel(p, perm)
+        assert canonical_form(q) == canonical_form(p)
+        assert_order_iso(iso_check(p, q))
+
+
+def test_cycle_unions_of_one_size_get_distinct_forms():
+    unions = [(12,), (6, 6), (4, 4, 4), (6, 3, 3), (3, 3, 3, 3), (5, 4, 3), (9, 3), (8, 4), (7, 5)]
+    assert len({canonical_form(cycle_incidence(c)) for c in unions}) == len(unions)
+
+
+def test_empty_poset_form():
+    assert canonical_form(FinPoset((), (), None)) == "P0;;bot=-1"
 
 
 def _refine_ranks_unshortened(p):
