@@ -22,7 +22,6 @@ from .finposet import (
     poset_to_json,
 )
 from .opairs import (
-    DEFAULT_PAIR_CAP,
     Kind,
     PairHom,
     enumerate_pairs,
@@ -244,12 +243,12 @@ def is_colimiting(k: Cocone) -> bool:
     )
 
 
-def is_colimiting_by_enumeration(k: Cocone, cap: int = DEFAULT_PAIR_CAP) -> bool:
+def is_colimiting_by_enumeration(k: Cocone) -> bool:
     """Brute-force variant of is_colimiting quantifying the mediator over
     the full enumerated pair hom-set; cross-checked against the forced-
     candidate shortcut in the test suite."""
     canon = colimit_finite(k.chain)
-    for u in enumerate_pairs(canon.apex, k.apex, k.kind, cap):
+    for u in enumerate_pairs(canon.apex, k.apex, k.kind):
         if not is_iso_pair(u):
             continue
         if all(

@@ -2,7 +2,7 @@
 finite pointed posets.
 
 Exit codes: 0 all checks pass, 1 a property or verdict failed, 2 usage or
-input error.
+input error, or a size cap hit.
 """
 from __future__ import annotations
 
@@ -49,16 +49,8 @@ def _load_cocone(path: str) -> Cocone:
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = parse_equation(args.equation, depth=args.depth, elem_cap=args.max_size)
-    except EquationSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = solve_report(spec, seed=args.seed)
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 2
+    spec = parse_equation(args.equation, depth=args.depth, elem_cap=args.max_size)
+    report = solve_report(spec, seed=args.seed)
     print(f"equation: {report.equation}")
     print(f"stabilized_at: {report.stabilized_at}")
     _print_stage_table(report.stages)
@@ -94,17 +86,9 @@ def cmd_check_ld(args) -> int:
 
 
 def cmd_preserve(args) -> int:
-    try:
-        functor = parse_functor(args.functor)
-    except EquationSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
+    functor = parse_functor(args.functor)
     k = _load_cocone(args.cocone)
-    try:
-        res = preserves_cocone(functor, k, elem_cap=args.max_size)
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 2
+    res = preserves_cocone(functor, k, elem_cap=args.max_size)
     print(f"functor: {functor}")
     print(f"image apex size: {len(res.image.apex)}")
     print(f"colimiting: {res.colimiting}")
@@ -204,6 +188,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except EquationSyntaxError as exc:
+        print(f"syntax error: {exc}", file=sys.stderr)
+        return 2
+    except CapExceeded as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

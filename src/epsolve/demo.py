@@ -52,7 +52,7 @@ def yoneda_demo_report() -> dict:
     }
 
 
-def run_proof_step_property(name: str = "P5") -> PropertyResult:
+def run_proof_step_property() -> PropertyResult:
     rep = yoneda_demo_report()
     ok = (
         rep["fully_faithful"]
@@ -62,4 +62,4 @@ def run_proof_step_property(name: str = "P5") -> PropertyResult:
         and rep["proof_step_counterexample"] is False
     )
     failures = [] if ok else [rep]
-    return PropertyResult(name, ok, 1, failures)
+    return PropertyResult("P5", ok, 1, failures)

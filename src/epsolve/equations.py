@@ -263,7 +263,7 @@ def report_json_bytes(report: RunReport) -> bytes:
     return (json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n").encode()
 
 
-def run_solver_determinism(name: str = "P6"):
+def run_solver_determinism():
     """Solver growth and determinism: D = lift(D) at depth 4 reports sizes
     1..5 with final-row defects 4-n, and identical runs are byte-identical."""
     from .suite import PropertyResult
@@ -279,4 +279,4 @@ def run_solver_determinism(name: str = "P6"):
         and report_json_bytes(r1) == report_json_bytes(r2)
     )
     failures = [] if ok else [{"sizes": sizes, "defects": defects}]
-    return PropertyResult(name, ok, 1, failures)
+    return PropertyResult("P6", ok, 1, failures)

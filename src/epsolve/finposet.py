@@ -21,7 +21,7 @@ HARD_ENUM_LIMIT = 100_000
 #: may build (the CLI's --max-size)
 DEFAULT_ELEM_CAP = 512
 
-#: most element orderings the canonical-form search will compare
+#: most leaf orderings the canonical-form search will compare
 CANONICAL_ORDER_CAP = 50_000
 
 
@@ -236,10 +236,15 @@ class MonotoneMap(metaclass=Interned):
 
 
 def map_from_dict(dom: FinPoset, cod: FinPoset, mapping: dict[str, str]) -> MonotoneMap:
+    if not isinstance(mapping, dict):
+        raise ShapeMismatch(f"map table must be a dict, got {type(mapping).__name__}")
     missing = [e for e in dom.elems if e not in mapping]
     extra = [e for e in mapping if e not in dom._pos]
     if missing or extra:
         raise ShapeMismatch(f"map table missing entries for {missing}, outside the domain {extra}")
+    stray = [v for v in mapping.values() if not isinstance(v, str) or v not in cod._pos]
+    if stray:
+        raise ShapeMismatch(f"map table values outside the codomain {stray}")
     return MonotoneMap(dom, cod, tuple(cod.index(mapping[e]) for e in dom.elems))
 
 
@@ -380,11 +385,12 @@ def fs_name(f: MonotoneMap) -> str:
     return "{" + ",".join(f"{d}:{c}" for d, c in f.mapping().items()) + "}"
 
 
+@cache
 def function_space_maps(
     p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP
 ) -> tuple[FinPoset, tuple[MonotoneMap, ...]]:
     """The poset of monotone maps p -> q together with the maps themselves,
-    aligned index-for-index with the poset's elements."""
+    aligned index-for-index with the poset's elements; built once per (p, q, cap)."""
     maps = monotone_maps(p, q, cap)
     elems = tuple(fs_name(f) for f in maps)
     v = _distinct_elems(elems)  # names with ':' or ',' can render two maps alike
@@ -707,8 +713,11 @@ def poset_from_json(obj: dict) -> FinPoset:
         for row in leq
     ):
         raise InvalidPoset(f"leq must be a {n}x{n} matrix of JSON booleans")
+    bottom = obj.get("bottom")
+    if bottom is not None and not isinstance(bottom, str):
+        raise InvalidPoset(f"bottom must be a string or null, got {bottom!r}")
     up = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in leq)
-    p = FinPoset(tuple(elems), up, obj.get("bottom"))
+    p = FinPoset(tuple(elems), up, bottom)
     v = validate_poset(p)
     if v is not None:
         raise InvalidPoset(v)
@@ -723,15 +732,8 @@ def map_to_json(f: MonotoneMap) -> dict:
     }
 
 
-def map_from_json(obj: dict, named: dict[str, FinPoset] | None = None) -> MonotoneMap:
-    def poset_of(x):
-        if isinstance(x, str):
-            if not named or x not in named:
-                raise InvalidPoset(f"unknown poset name {x!r}")
-            return named[x]
-        return poset_from_json(x)
-
-    f = map_from_dict(poset_of(obj["dom"]), poset_of(obj["cod"]), obj["table"])
+def map_from_json(obj: dict) -> MonotoneMap:
+    f = map_from_dict(poset_from_json(obj["dom"]), poset_from_json(obj["cod"]), obj["table"])
     if not is_monotone(f):
         raise ShapeMismatch("deserialized map is not monotone")
     return f

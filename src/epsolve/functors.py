@@ -186,10 +186,7 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
         case Fun(a, b):
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
             dom_fs, dom_maps = function_space_maps(ga.src, gb.src, elem_cap)
-            if ga.tgt is ga.src and gb.tgt is gb.src:
-                cod_fs, cod_maps = dom_fs, dom_maps
-            else:
-                cod_fs, cod_maps = function_space_maps(ga.tgt, gb.tgt, elem_cap)
+            cod_fs, cod_maps = function_space_maps(ga.tgt, gb.tgt, elem_cap)
             cod_pos = {m: i for i, m in enumerate(cod_maps)}
             dom_pos = {m: i for i, m in enumerate(dom_maps)}
             l_table = tuple(cod_pos[compose(gb.l, compose(h, ga.r))] for h in dom_maps)
@@ -231,13 +228,7 @@ def check_functor_laws(e: FunctorExpr, probes) -> bool:
     return True
 
 
-def check_local_continuity(
-    e: FunctorExpr,
-    a: FinPoset,
-    b: FinPoset,
-    kind: Kind = Kind.EP,
-    cap: int = DEFAULT_PAIR_CAP,
-) -> bool:
+def check_local_continuity(e: FunctorExpr, a: FinPoset, b: FinPoset, kind: Kind = Kind.EP) -> bool:
     """Monotone hom-action on the enumerated hom-poset a -> b.
 
     On finite posets every chain is eventually constant, so its lub is its
@@ -248,13 +239,13 @@ def check_local_continuity(
     pair order.
     """
     if not has_fun(e):
-        maps = monotone_maps(a, b, cap)
+        maps = monotone_maps(a, b, DEFAULT_PAIR_CAP)
         images = {f: apply_mor(e, f) for f in maps}
         for f in maps:
             for g in maps:
                 if leq_map(f, g) and not leq_map(images[f], images[g]):
                     return False
-    pairs = enumerate_pairs(a, b, kind, cap)
+    pairs = enumerate_pairs(a, b, kind)
     images_pr = {f: pr_apply_mor(e, f) for f in pairs}
     for f in pairs:
         for g in pairs:

@@ -168,10 +168,10 @@ def pair_to_json(f: PairHom) -> dict:
     return {"kind": f.kind.value, "l": map_to_json(f.l), "r": map_to_json(f.r)}
 
 
-def pair_from_json(obj: dict, named=None) -> PairHom:
+def pair_from_json(obj: dict) -> PairHom:
     kind = Kind(obj["kind"])
-    l = map_from_json(obj["l"], named)
-    r = map_from_json(obj["r"], named)
+    l = map_from_json(obj["l"])
+    r = map_from_json(obj["r"])
     if not is_monotone(l) or not is_monotone(r):
         raise InvalidPair("pair legs must be monotone")
     return make_pair(kind, l, r)

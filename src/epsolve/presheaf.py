@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .chains import Cocone, _e_stab, _round_trips
 from .errors import CapExceeded, InvalidCategory, ShapeMismatch
 from .finposet import (
-    DEFAULT_ELEM_CAP,
     FinPoset,
     MapChain,
     MonotoneMap,
@@ -111,13 +110,13 @@ class PosetOCategory:
         return self._maps[(a, b)][t]
 
 
-def build_poset_category(posets: dict, cap: int = DEFAULT_ELEM_CAP) -> PosetOCategory:
+def build_poset_category(posets: dict) -> PosetOCategory:
     names = tuple(posets)
     hom = {}
     maps = {}
     for a in names:
         for b in names:
-            fs, ms = function_space_maps(posets[a], posets[b], cap)
+            fs, ms = function_space_maps(posets[a], posets[b])
             hom[(a, b)] = fs
             maps[(a, b)] = {fs_name(m): m for m in ms}
     comp = {}

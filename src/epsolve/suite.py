@@ -177,12 +177,9 @@ def run_ld_implies_colimiting(
     chain_count: int = 200,
     max_size: int = 4,
     max_len: int = 5,
-    name: str = "P1",
 ) -> tuple[PropertyResult, list[OmegaChain]]:
+    """P1 on EP chains, P4a on ADJ chains."""
     rng = random.Random(seed)
-    check = (
-        check_local_determination_ep if kind == Kind.EP else check_local_determination_adj
-    )
     chains = [random_chain(rng, kind, max_size, max_len) for _ in range(chain_count)]
     failures = []
     cases = 0
@@ -191,12 +188,10 @@ def run_ld_implies_colimiting(
         apexes = apex_catalog() + (canon.apex,)
         for k in cocones_over(d, apexes):
             cases += 1
-            if check(k).verdict and not is_colimiting(k):
+            if check_local_determination(k).verdict and not is_colimiting(k):
                 failures.append({"chain": repr(d), "apex": repr(k.apex)})
-    return (
-        PropertyResult(name, not failures, cases, failures),
-        chains,
-    )
+    name = "P1" if kind == Kind.EP else "P4a"
+    return PropertyResult(name, not failures, cases, failures), chains
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +212,9 @@ def _preserve_verdicts(e: FunctorExpr, canon: Cocone):
         return None
 
 
-def run_preservation(
-    chains: list[OmegaChain],
-    functor_depth: int = 2,
-    name: str = "P2",
-) -> PropertyResult:
-    family = functor_family(
-        functor_depth, [(one_point(), "unit"), (chain_poset(2), "2-chain")]
-    )
+def run_preservation(chains: list[OmegaChain], kind: Kind) -> PropertyResult:
+    """P2 on the EP chains of P1, P4b on the ADJ chains of P4a."""
+    family = functor_family(2, [(one_point(), "unit"), (chain_poset(2), "2-chain")])
     canon_by_key: dict[OmegaChain, Cocone] = {}
     for d in chains:
         if d not in canon_by_key:
@@ -239,25 +229,23 @@ def run_preservation(
             cases += 1
             if verdicts != (True, True):
                 failures.append({"functor": str(e), "chain": repr(d)})
+    name = "P2" if kind == Kind.EP else "P4b"
     return PropertyResult(name, not failures, cases, failures)
 
 
 # ---------------------------------------------------------------------------
 # P3: the fixed non-locally-determined counterexample
 
-def counterexample_cocone(length: int = 3) -> Cocone:
+def counterexample_cocone() -> Cocone:
     """Constant chain at the one-point poset; apex the 2-chain; every leg
     the bottom-inclusion pair.  Not locally determined, not colimiting."""
     pt = one_point()
     two = chain_poset(2)
-    d = OmegaChain(
-        (pt,) * length, tuple(pair_identity(pt) for _ in range(length - 1)), 0
-    )
-    leg = bottom_inclusion_pair(pt, two)
-    return Cocone(d, two, (leg,) * length)
+    d = OmegaChain((pt,) * 3, (pair_identity(pt),) * 2, 0)
+    return Cocone(d, two, (bottom_inclusion_pair(pt, two),) * 3)
 
 
-def run_counterexample(name: str = "P3") -> PropertyResult:
+def run_counterexample() -> PropertyResult:
     k = counterexample_cocone()
     report = check_local_determination_ep(k)
     colim = preserves_cocone(Id(), k).colimiting
@@ -267,15 +255,13 @@ def run_counterexample(name: str = "P3") -> PropertyResult:
         and not colim
     )
     failures = [] if ok else [{"report": report.to_json(), "colimiting": colim}]
-    return PropertyResult(name, ok, 1, failures)
+    return PropertyResult("P3", ok, 1, failures)
 
 
 # ---------------------------------------------------------------------------
 # P4c: on ep-chains the adjoint second condition holds with both sides id
 
-def run_ep_adjoint_second_condition(
-    chains: list[OmegaChain], name: str = "P4c"
-) -> PropertyResult:
+def run_ep_adjoint_second_condition(chains: list[OmegaChain]) -> PropertyResult:
     failures = []
     cases = 0
     for d in chains:
@@ -295,13 +281,13 @@ def run_ep_adjoint_second_condition(
         )
         if not (report.verdict and both_sides_id):
             failures.append({"chain": repr(d)})
-    return PropertyResult(name, not failures, cases, failures)
+    return PropertyResult("P4c", not failures, cases, failures)
 
 
 # ---------------------------------------------------------------------------
 # P7: lub oracle cross-check
 
-def run_lub_cross_check(seed: int, cases: int = 50, name: str = "P7") -> PropertyResult:
+def run_lub_cross_check(seed: int, cases: int = 50) -> PropertyResult:
     rng = random.Random(seed)
     failures = []
     done = 0
@@ -325,7 +311,7 @@ def run_lub_cross_check(seed: int, cases: int = 50, name: str = "P7") -> Propert
         done += 1
         if len(least) != 1 or least[0] != got:
             failures.append({"dom": repr(p), "cod": repr(q), "chain": repr(terms)})
-    return PropertyResult(name, not failures, done, failures)
+    return PropertyResult("P7", not failures, done, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -336,26 +322,21 @@ def run_all(
     chain_count: int = 200,
     max_size: int = 4,
     max_len: int = 5,
-    functor_depth: int = 2,
     lub_cases: int = 50,
 ) -> list[PropertyResult]:
     from .demo import run_proof_step_property
     from .equations import run_solver_determinism
 
     results = []
-    p1, ep_chains = run_ld_implies_colimiting(
-        seed, Kind.EP, chain_count, max_size, max_len, "P1"
-    )
+    p1, ep_chains = run_ld_implies_colimiting(seed, Kind.EP, chain_count, max_size, max_len)
     results.append(p1)
-    results.append(run_preservation(ep_chains, functor_depth, "P2"))
-    results.append(run_counterexample("P3"))
-    p4a, adj_chains = run_ld_implies_colimiting(
-        seed + 1, Kind.ADJ, chain_count, max_size, max_len, "P4a"
-    )
+    results.append(run_preservation(ep_chains, Kind.EP))
+    results.append(run_counterexample())
+    p4a, adj_chains = run_ld_implies_colimiting(seed + 1, Kind.ADJ, chain_count, max_size, max_len)
     results.append(p4a)
-    results.append(run_preservation(adj_chains, functor_depth, "P4b"))
-    results.append(run_ep_adjoint_second_condition(ep_chains, "P4c"))
-    results.append(run_proof_step_property("P5"))
-    results.append(run_solver_determinism("P6"))
-    results.append(run_lub_cross_check(seed + 2, lub_cases, "P7"))
+    results.append(run_preservation(adj_chains, Kind.ADJ))
+    results.append(run_ep_adjoint_second_condition(ep_chains))
+    results.append(run_proof_step_property())
+    results.append(run_solver_determinism())
+    results.append(run_lub_cross_check(seed + 2, lub_cases))
     return results

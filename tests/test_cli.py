@@ -205,14 +205,29 @@ def _table_entry_outside_domain(payload):
     payload["legs"][1]["l"]["table"]["v2"] = "v1"
 
 
+def _list_bottom(payload):
+    payload["apex"]["bottom"] = ["v0"]
+
+
+def _table_value_outside_codomain(payload):
+    payload["legs"][1]["l"]["table"]["v1"] = "zz"
+
+
+def _list_table(payload):
+    payload["legs"][1]["l"]["table"] = ["v0", "v1"]
+
+
 @pytest.mark.parametrize(
     "corrupt,reason",
     [
         (_truthy_non_boolean_leq, "JSON booleans"),
         (_non_string_elems, "list of strings"),
         (_table_entry_outside_domain, "outside the domain"),
+        (_list_bottom, "InvalidPoset: bottom must be a string or null"),
+        (_table_value_outside_codomain, "ShapeMismatch: map table values outside the codomain"),
+        (_list_table, "ShapeMismatch: map table must be a dict"),
     ],
-    ids=["leq-truthy", "elems-int", "table-extra"],
+    ids=["leq-truthy", "elems-int", "table-extra", "bottom-list", "table-value", "table-list"],
 )
 def test_check_ld_rejects_invalid_fields(corrupt, reason, tmp_path, capsys):
     payload = cocone_to_json(colimit_finite(n1_chain()))
@@ -263,6 +278,14 @@ def test_verify_theorems_small_run(tmp_path, capsys):
         assert f"{name}: PASS" in stdout
     payload = json.loads(out.read_text())
     assert all(r["passed"] for r in payload["results"])
+
+
+def test_verify_theorems_cap_hit_is_one_line(capsys):
+    # chains of up to 9-element posets ask enumerate_pairs for 81 > 64 pairs
+    assert main(["verify-theorems", "--max-size", "9", "--chains", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: enumerate_pairs: ")
+    assert err.count("\n") == 1
 
 
 def test_yoneda_demo(capsys):

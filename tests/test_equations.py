@@ -129,6 +129,19 @@ def test_iterate_reads_stages_off_links(monkeypatch):
     assert all(f.tgt == p for f, p in zip(d.links, d.objects[1:]))
 
 
+def test_iterate_builds_each_function_space_once():
+    # stage n's function space is link n's target and again link n+1's source
+    from epsolve.finposet import function_space_maps
+    from epsolve.functors import pr_apply_mor
+
+    function_space_maps.cache_clear()
+    pr_apply_mor.cache_clear()
+    d = iterate(parse_equation("D = fun(const(diamond),D)", depth=3))
+    assert len(d.links) == 3
+    info = function_space_maps.cache_info()
+    assert info.misses == info.currsize == 3
+
+
 def test_iterate_respects_elem_cap():
     with pytest.raises(CapExceeded):
         iterate(parse_equation("D = prod(D, const(2-chain))", depth=12, elem_cap=64))

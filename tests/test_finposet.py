@@ -691,6 +691,7 @@ def test_poset_json_rejects_invalid():
         ("leq", [[True, True]]),
         ("elems", ["v0", 1]),
         ("elems", "v0v1"),
+        ("bottom", ["v0"]),  # unhashable, so it must not reach the intern table
     ],
 )
 def test_poset_json_rejects_malformed_fields(field, value):
@@ -703,6 +704,21 @@ def test_poset_json_rejects_malformed_fields(field, value):
 def test_map_from_dict_rejects_entries_outside_the_domain():
     with pytest.raises(ShapeMismatch, match="outside the domain"):
         map_from_dict(two(), two(), {"v0": "v0", "v1": "v1", "v2": "v1"})
+
+
+def test_map_from_dict_rejects_values_outside_the_codomain():
+    with pytest.raises(ShapeMismatch, match="outside the codomain"):
+        map_from_dict(two(), two(), {"v0": "v0", "v1": "zz"})
+    with pytest.raises(ShapeMismatch, match="outside the codomain"):
+        map_from_dict(two(), two(), {"v0": "v0", "v1": ["v1"]})
+
+
+@pytest.mark.parametrize(
+    "table", [["v0", "v1"], [["v0", "v0"], ["v1", "v1"]], "v0v1"], ids=["list", "pairs", "string"]
+)
+def test_map_from_dict_rejects_a_table_that_is_not_a_dict(table):
+    with pytest.raises(ShapeMismatch, match="must be a dict"):
+        map_from_dict(two(), two(), table)
 
 
 def test_map_json_round_trip():

@@ -224,25 +224,17 @@ def test_pr_apply_mor_fun_preserves_identity():
     assert got == pair_identity(function_space(p, p))
 
 
-def test_fun_builds_one_function_space_on_an_identity(monkeypatch):
-    import epsolve.functors as functors
+def test_fun_builds_one_function_space_on_an_identity():
+    from epsolve.finposet import function_space_maps
 
-    calls = []
-    real = functors.function_space_maps
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(functors, "function_space_maps", counting)
-    functors.pr_apply_mor.cache_clear()
+    function_space_maps.cache_clear()
+    pr_apply_mor.cache_clear()
     got = apply_obj(Fun(Id(), Id()), diamond())
-    assert len(calls) == 1
+    assert function_space_maps.cache_info().misses == 1
     assert got == function_space(diamond(), diamond())
-    # a non-identity pair still builds both ends
-    calls.clear()
+    # a non-identity pair builds both ends
     pr_apply_mor(Fun(Id(), Id()), bottom_inclusion_pair(one_point(), two()))
-    assert len(calls) == 2
+    assert function_space_maps.cache_info().misses == 3
 
 
 def test_pr_apply_mor_preserves_kind():
