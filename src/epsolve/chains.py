@@ -141,8 +141,7 @@ def colimit_finite(d: OmegaChain) -> Cocone:
         raise WitnessError("colimit_finite needs a stabilization witness")
     validate_chain(d)
     last = len(d.objects) - 1
-    stab = min(d.stab_index, last)
-    return cocone_from_final_leg(d, pair_inverse(link_composite(d, stab, last)))
+    return cocone_from_final_leg(d, pair_inverse(link_composite(d, d.stab_index, last)))
 
 
 def cocone_from_final_leg(d: OmegaChain, final: PairHom) -> Cocone:
@@ -225,22 +224,23 @@ def check_local_determination(k: Cocone) -> LdReport:
 
 
 def is_colimiting(k: Cocone) -> bool:
-    """Universal-property oracle by mediator search: k is colimiting iff an
-    isomorphism pair u from the canonical colimit's apex satisfies
-    u ∘ κ_n = c_n for all n (colimits are unique up to unique iso).
+    """Universal property at the stabilization witness N.  The canonical
+    colimit has apex Δ_N and legs κ_n with κ_N the identity, and colimits are
+    unique up to unique iso, so k is colimiting iff an isomorphism pair u from
+    Δ_N satisfies u ∘ κ_n = c_n for all n.
 
-    The canonical leg at the stabilization point N is the identity, so the
-    commutation condition at N pins the only possible mediator down to
-    u = c_N; the search space collapses to that single candidate.
+    First, at n = N the condition reads u = c_N, so c_N is the only possible
+    mediator.  Second, if k commutes, u = c_N meets the condition at every n.
+    For n <= N, κ_n is the link composite Δ_n -> Δ_N, and commutation gives
+    c_N ∘ κ_n = c_n.  For n > N, κ_n is the inverse of the iso link composite
+    λ: Δ_N -> Δ_n, and commutation gives c_n ∘ λ = c_N, so
+    c_N ∘ κ_n = c_n ∘ λ ∘ λ⁻¹ = c_n.  Hence k is colimiting iff it is a
+    cocone and c_N is an iso pair.
     """
-    canon = colimit_finite(k.chain)
-    stab = min(k.chain.stab_index, len(k.legs) - 1)
-    u = k.legs[stab]
-    if not is_iso_pair(u):
-        return False
-    return all(
-        pair_compose(u, canon.legs[n]) == k.legs[n] for n in range(len(k.legs))
-    )
+    if k.chain.stab_index is None:
+        raise WitnessError("is_colimiting needs a stabilization witness")
+    validate_chain(k.chain)
+    return is_cocone(k) and is_iso_pair(k.legs[k.chain.stab_index])
 
 
 def is_colimiting_by_enumeration(k: Cocone) -> bool:

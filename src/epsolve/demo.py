@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .chains import Cocone, OmegaChain, colimit_finite
 from .finposet import chain_poset, one_point
-from .opairs import Kind, bottom_inclusion_pair, pair_identity
+from .opairs import bottom_inclusion_pair, pair_identity
 from .presheaf import (
     PosetOCategory,
     build_poset_category,

@@ -5,8 +5,9 @@ Grammar (LL(1), whitespace-insensitive, case-sensitive)::
 
     equation := 'D' '=' expr
     expr     := term ('+' term)*          # infix sugar for sum
-    term     := 'D' | 'unit' | 'lift' '(' expr ')' | 'sum' '(' expr ',' expr ')'
-              | 'prod' '(' expr ',' expr ')' | 'fun' '(' expr ',' expr ')'
+    term     := 'D' | 'unit' | '1' | 'lift' '(' expr ')'
+              | 'sum' '(' expr ',' expr ')' | 'prod' '(' expr ',' expr ')'
+              | 'fun' '(' expr ',' expr ')' | 'compose' '(' expr ',' expr ')'
               | 'const' '(' name ')' | '(' expr ')'
 """
 from __future__ import annotations
@@ -15,21 +16,13 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .chains import (
-    Cocone,
-    OmegaChain,
-    check_local_determination,
-    colimit_finite,
-    thread_approximant,
-)
+from .chains import OmegaChain, check_local_determination, thread_approximant
 from .errors import CapExceeded
 from .finposet import (
     DEFAULT_ELEM_CAP,
     FinPoset,
-    MonotoneMap,
     canonical_form,
     chain_poset,
-    const_map,
     diamond,
     flat,
     one_point,
@@ -46,7 +39,7 @@ from .functors import (
     apply_obj,
     pr_apply_mor,
 )
-from .opairs import Kind, PairHom, bottom_inclusion_pair, is_iso_pair
+from .opairs import PairHom, bottom_inclusion_pair, is_iso_pair
 
 #: posets addressable from the concrete syntax via const(<name>)
 NAMED_POSETS: dict[str, FinPoset] = {
@@ -254,8 +247,9 @@ def solve_report(spec: EquationSpec, seed: int | None = None) -> RunReport:
         report.stages.append(stage)
 
     if d.stab_index is not None:
-        cocone = colimit_finite(d)
-        report.ld = check_local_determination(cocone).to_json()
+        # the final row's cocone (apex Δ_last ≅ Δ_N, identity last leg) is the canonical
+        # colimit up to iso: same verdict and defects, and EP, so no residuals
+        report.ld = last.to_json()
     return report
 
 

@@ -184,8 +184,8 @@ def run_ld_implies_colimiting(
     failures = []
     cases = 0
     for d in chains:
-        canon = colimit_finite(d)
-        apexes = apex_catalog() + (canon.apex,)
+        # Δ_N, the canonical colimit's apex
+        apexes = apex_catalog() + (d.objects[d.stab_index],)
         for k in cocones_over(d, apexes):
             cases += 1
             if check_local_determination(k).verdict and not is_colimiting(k):

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsolve.chains import (
@@ -273,15 +273,39 @@ def test_transport_along_iso_stays_colimiting():
         assert is_colimiting(moved)
 
 
-@given(st.integers(0, 10**6))
+def _swap_breaking_commutation(k: Cocone) -> Cocone | None:
+    """k with two legs of the same source swapped, if some swap leaves a
+    family of legs that does not commute."""
+    for i in range(len(k.legs)):
+        for j in range(i + 1, len(k.legs)):
+            if k.legs[i].src == k.legs[j].src and k.legs[i] != k.legs[j]:
+                legs = list(k.legs)
+                legs[i], legs[j] = legs[j], legs[i]
+                swapped = Cocone(k.chain, k.apex, tuple(legs))
+                if not is_cocone(swapped):
+                    return swapped
+    return None
+
+
+# an ep pair P -> P is an automorphism, so random EP chains almost never
+# carry two distinct legs with one source (none in 3000 seeds); these ADJ
+# seeds do, and keep the swapped case covered on every run
+@given(st.integers(0, 10**6), st.sampled_from([Kind.EP, Kind.ADJ]))
+@example(30, Kind.ADJ)
+@example(93, Kind.ADJ)
 @settings(max_examples=30, deadline=None)
-def test_forced_mediator_agrees_with_enumeration(seed):
+def test_forced_mediator_agrees_with_enumeration(seed, kind):
     rng = random.Random(seed)
     from epsolve.suite import apex_catalog, cocones_over
 
-    d = random_chain(rng, Kind.EP, 3, 4)
+    d = random_chain(rng, kind, 3, 4)
+    swapped = None
     for k in cocones_over(d, apex_catalog()[:4]):
         assert is_colimiting(k) == is_colimiting_by_enumeration(k)
+        swapped = swapped or _swap_breaking_commutation(k)
+    if swapped is not None:
+        assert not is_colimiting(swapped)
+        assert not is_colimiting_by_enumeration(swapped)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,16 @@ def test_preserve_syntax_error_exit_2(counterexample_path):
     assert main(["preserve", "lift(", "--cocone", counterexample_path]) == 2
 
 
+def test_preserve_without_witness_is_one_line(tmp_path, capsys):
+    payload = cocone_to_json(counterexample_cocone())
+    payload["chain"]["stab_index"] = None
+    path = tmp_path / "no_witness.json"
+    path.write_text(json.dumps(payload))
+    assert main(["preserve", "lift(D)", "--cocone", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: is_colimiting needs a stabilization witness\n"
+
+
 # ---------------------------------------------------------------------------
 # verify-theorems and yoneda-demo
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epsolve.chains import check_local_determination, thread_approximant
+from epsolve.chains import check_local_determination, colimit_finite, thread_approximant
 from epsolve.equations import (
     EquationSpec,
     EquationSyntaxError,
@@ -255,9 +255,30 @@ def test_solve_report_checks_one_approximant(monkeypatch):
     monkeypatch.setattr(
         chains, "check_local_determination_ep", counting("ld", chains.check_local_determination_ep)
     )
-    report = solve_report(parse_equation("D = lift(D)", depth=20))
-    assert counts == {"approximant": 1, "ld": 1}
-    assert report.defect_matrix[-1] == [20 - n for n in range(21)]
+    # one growing body, two stabilized ones: a stabilized solve reuses the final row
+    for text, depth, last_row in [
+        ("D = lift(D)", 20, [20 - n for n in range(21)]),
+        ("D = fun(D,D)", 3, [0] * 4),
+        ("D = const(diamond)", 5, [3] + [0] * 5),
+    ]:
+        counts.update(approximant=0, ld=0)
+        report = solve_report(parse_equation(text, depth=depth))
+        assert counts == {"approximant": 1, "ld": 1}, text
+        assert report.defect_matrix[-1] == last_row
+
+
+@pytest.mark.parametrize(
+    "text,depth",
+    [("D = fun(D,D)", 3), ("D = prod(D,unit)", 5), ("D = const(diamond)", 4),
+     ("D = lift(const(2-chain))", 4), ("D = sum(const(flat2),unit)", 3),
+     ("D = fun(const(diamond),D)", 3)],
+)
+def test_stabilized_ld_is_the_canonical_colimits_report(text, depth):
+    """The canonical colimit's report, computed the old way, is the oracle."""
+    spec = parse_equation(text, depth=depth)
+    report = solve_report(spec)
+    assert report.stabilized_at is not None
+    assert report.ld == check_local_determination(colimit_finite(iterate(spec))).to_json()
 
 
 # sha256 of report_json_bytes(solve_report(..., seed=0)), pinned from reports

@@ -1,0 +1,26 @@
+"""Every name a module imports is used in it (`__init__.py` re-exports, so it
+is left out)."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import epsolve
+
+MODULES = sorted(p for p in Path(epsolve.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
