@@ -78,14 +78,6 @@ class Cocone:
 
 
 @dataclass(frozen=True)
-class Thread:
-    """A projection-compatible tuple of components, one per chain stage."""
-
-    depth: int
-    components: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class LdReport:
     kind: Kind
     verdict: bool
@@ -256,22 +248,6 @@ def is_colimiting_by_enumeration(k: Cocone) -> bool:
         ):
             return True
     return False
-
-
-def enumerate_threads(d: OmegaChain, depth: int) -> tuple[Thread, ...]:
-    """All projection-compatible threads of length depth+1; each is
-    determined by its component at the given depth."""
-    if not 0 <= depth < len(d.objects):
-        raise IndexError("depth out of range")
-    threads = []
-    for x in d.objects[depth].elems:
-        comps = [x]
-        cur = x
-        for k in range(depth - 1, -1, -1):
-            cur = d.links[k].r(cur)
-            comps.append(cur)
-        threads.append(Thread(depth, tuple(reversed(comps))))
-    return tuple(threads)
 
 
 def thread_approximant(d: OmegaChain, depth: int) -> Cocone:

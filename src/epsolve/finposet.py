@@ -76,13 +76,41 @@ def _bit_strings(rows: tuple[int, ...]) -> list[str]:
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+#: characters that give a constructed name its structure; a user name nested
+#: in a constructed one gets a backslash before each
+_ESCAPE = str.maketrans({c: "\\" + c for c in "\\(),{}:"})
+
+
 @dataclass(frozen=True, eq=False)
 class FinPoset(metaclass=Interned):
-    """A finite poset stored as up-set rows: bit j of `up[i]` is set iff elems[i] <= elems[j]."""
+    """A finite poset stored as up-set rows: bit j of `up[i]` is set iff
+    element i <= element j, and `bot` is the bottom's position or None.
+    `names` is the user's tuple of element names or a constructor term,
+    ("lift", p), ("sum", p, q), ("prod", p, q) or ("fun", p, q, maps), whose
+    names `_render` builds when `elems` is first read."""
 
-    elems: tuple[str, ...]
+    names: tuple
     up: tuple[int, ...]
-    bottom: str | None = None
+    bot: int | None = None
+
+    @cached_property
+    def elems(self) -> tuple[str, ...]:
+        if not _is_term(self.names):
+            return self.names
+        # render unrendered subterms first, children before parents, so that
+        # a stage nested as deep as a long solve needs no deep recursion
+        todo = _unrendered(self)
+        while todo:
+            kids = _unrendered(todo[-1])
+            if kids:
+                todo += kids
+            else:
+                todo.pop().elems
+        return _render(self.names)
+
+    @property
+    def bottom(self) -> str | None:
+        return None if self.bot is None else self.elems[self.bot]
 
     @cached_property
     def _pos(self) -> dict[str, int]:
@@ -90,11 +118,11 @@ class FinPoset(metaclass=Interned):
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        """Down-set rows, the transpose of `up`: bit i of `down[j]` iff elems[i] <= elems[j]."""
+        """Down-set rows, the transpose of `up`: bit i of `down[j]` iff element i <= element j."""
         return tuple(int("".join(col)[::-1], 2) for col in zip(*_bit_strings(self.up)))
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return len(self.up)
 
     def index(self, e: str) -> int:
         return self._pos[e]
@@ -104,11 +132,43 @@ class FinPoset(metaclass=Interned):
 
     @property
     def is_pointed(self) -> bool:
-        return self.bottom is not None
+        return self.bot is not None
 
     def __repr__(self) -> str:
-        b = f", bottom={self.bottom!r}" if self.bottom is not None else ""
+        b = f", bottom={self.bottom!r}" if self.bot is not None else ""
         return f"FinPoset({list(self.elems)!r}{b})"
+
+
+def _is_term(names: tuple) -> bool:
+    return len(names) > 1 and isinstance(names[1], FinPoset)
+
+
+def _unrendered(p: FinPoset) -> list[FinPoset]:
+    """The constructed posets in the term of p whose names are not rendered yet."""
+    return [q for q in p.names[1:3] if _is_term(q.names) and "elems" not in vars(q)]
+
+
+def _nested(p: FinPoset) -> tuple[str, ...]:
+    """p's names as they appear inside a constructed name."""
+    return p.elems if _is_term(p.names) else tuple(e.translate(_ESCAPE) for e in p.names)
+
+
+def _render(term: tuple) -> tuple[str, ...]:
+    """The element names of a constructor term, in position order; the one
+    place that knows the naming scheme.  User names nested inside are
+    escaped, so by the grammar of the four forms distinct positions render
+    distinct names."""
+    match term:
+        case ("lift", p):
+            return ("lift-bottom",) + tuple(f"up({a})" for a in _nested(p))
+        case ("sum", p, q):
+            return ("sum-bottom", *(f"inl({a})" for a in _nested(p)), *(f"inr({b})" for b in _nested(q)))
+        case ("prod", p, q):
+            bs = _nested(q)
+            return tuple(f"({a},{b})" for a in _nested(p) for b in bs)
+        case ("fun", p, q, maps):
+            a_s, bs = _nested(p), _nested(q)
+            return tuple("{" + ",".join(f"{a}:{bs[v]}" for a, v in zip(a_s, f.table)) + "}" for f in maps)
 
 
 def make_poset(elems, pairs, bottom=None) -> FinPoset:
@@ -128,32 +188,29 @@ def make_poset(elems, pairs, bottom=None) -> FinPoset:
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= up[k]
-    p = FinPoset(elems, tuple(up), bottom)
+    return _checked(elems, tuple(up), bottom)
+
+
+def _checked(elems: tuple[str, ...], up: tuple[int, ...], bottom: str | None) -> FinPoset:
+    """The poset on user names whose bottom is given by name; InvalidPoset
+    names the first violation, the bottom's last."""
+    p = FinPoset(elems, up, elems.index(bottom) if bottom in elems else None)
     v = validate_poset(p)
+    if v is None and bottom is not None and p.bot is None:
+        v = Violation("bottom-membership", (bottom,))
     if v is not None:
         raise InvalidPoset(v)
     return p
 
 
-def _distinct_elems(elems: tuple[str, ...]) -> Violation | None:
-    """The distinct-elems violation naming the first repeated element, or None."""
-    if len(set(elems)) == len(elems):
-        return None
-    seen = set()
-    for e in elems:
-        if e in seen:
-            return Violation("distinct-elems", (e,))
-        seen.add(e)
-
-
 def validate_poset(p: FinPoset) -> Violation | None:
     """Check all poset axioms; return the first violation or None."""
-    n, up, elems = len(p.elems), p.up, p.elems
-    v = _distinct_elems(elems)
-    if v is not None:
-        return v
+    up, elems = p.up, p.elems
+    n = len(up)
+    if len(set(elems)) < len(elems):
+        return Violation("distinct-elems", (next(e for i, e in enumerate(elems) if e in elems[:i]),))
     full = (1 << n) - 1
-    if len(up) != n or any(row & ~full for row in up):
+    if len(elems) != n or any(row & ~full for row in up) or not (p.bot is None or 0 <= p.bot < n):
         return Violation("shape", ())
     for i in range(n):
         if not up[i] >> i & 1:
@@ -168,12 +225,10 @@ def validate_poset(p: FinPoset) -> Violation | None:
             missed = up[j] & ~up[i]
             if missed:
                 return Violation("transitivity", (elems[i], elems[j], elems[_ones(missed)[0]]))
-    if p.bottom is not None:
-        if p.bottom not in elems:
-            return Violation("bottom-membership", (p.bottom,))
-        below = full & ~up[elems.index(p.bottom)]
+    if p.bot is not None:
+        below = full & ~up[p.bot]
         if below:
-            return Violation("bottom-least", (p.bottom, elems[_ones(below)[0]]))
+            return Violation("bottom-least", (elems[p.bot], elems[_ones(below)[0]]))
     return None
 
 
@@ -182,7 +237,7 @@ def validate_poset(p: FinPoset) -> Violation | None:
 
 @cache
 def one_point() -> FinPoset:
-    return FinPoset(("*",), (1,), "*")
+    return FinPoset(("*",), (1,), 0)
 
 
 @cache
@@ -190,7 +245,7 @@ def chain_poset(n: int) -> FinPoset:
     """Total order v0 < v1 < ... < v{n-1} with v0 as bottom."""
     elems = tuple(f"v{i}" for i in range(n))
     full = (1 << n) - 1
-    return FinPoset(elems, tuple(full >> i << i for i in range(n)), "v0")
+    return FinPoset(elems, tuple(full >> i << i for i in range(n)), 0)
 
 
 @cache
@@ -212,7 +267,7 @@ def flat(k: int) -> FinPoset:
 @cache
 def antichain(k: int) -> FinPoset:
     elems = tuple(f"a{i}" for i in range(k))
-    return FinPoset(elems, tuple(1 << i for i in range(k)), elems[0] if k == 1 else None)
+    return FinPoset(elems, tuple(1 << i for i in range(k)), 0 if k == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +367,13 @@ def lub_map_chain(c: MapChain) -> MonotoneMap:
 
 @cache
 def product(p: FinPoset, q: FinPoset) -> FinPoset:
-    elems = tuple(f"({a},{b})" for a in p.elems for b in q.elems)
-    v = _distinct_elems(elems)  # names with commas can pair up alike
-    if v is not None:
-        raise InvalidPoset(v)
     nq = len(q)
     # (a,b) sits at i*nq + j: spread p's row to one bit per nq-bit block,
     # then multiplying by q's row (under nq bits) copies it into each block
     blocks = [sum(1 << (i * nq) for i in _ones(row)) for row in p.up]
     up = tuple(spread * row for spread in blocks for row in q.up)
-    bottom = None
-    if p.is_pointed and q.is_pointed:
-        bottom = f"({p.bottom},{q.bottom})"
-    return FinPoset(elems, up, bottom)
+    bot = p.bot * nq + q.bot if p.is_pointed and q.is_pointed else None
+    return FinPoset(("prod", p, q), up, bot)
 
 
 @cache
@@ -332,19 +381,15 @@ def coproduct(p: FinPoset, q: FinPoset) -> FinPoset:
     """Disjoint union glued below a fresh bottom (sum of pointed posets)."""
     if not (p.is_pointed and q.is_pointed):
         raise NotPointed("coproduct requires pointed posets")
-    elems = ("sum-bottom",) + tuple(f"inl({a})" for a in p.elems) + tuple(
-        f"inr({b})" for b in q.elems
-    )
-    full = (1 << len(elems)) - 1
+    full = (1 << (1 + len(p) + len(q))) - 1
     up = (full,) + tuple(row << 1 for row in p.up) + tuple(row << (1 + len(p)) for row in q.up)
-    return FinPoset(elems, up, "sum-bottom")
+    return FinPoset(("sum", p, q), up, 0)
 
 
 @cache
 def lift(p: FinPoset) -> FinPoset:
-    elems = ("lift-bottom",) + tuple(f"up({e})" for e in p.elems)
-    full = (1 << len(elems)) - 1
-    return FinPoset(elems, (full,) + tuple(row << 1 for row in p.up), "lift-bottom")
+    full = (1 << (1 + len(p))) - 1
+    return FinPoset(("lift", p), (full,) + tuple(row << 1 for row in p.up), 0)
 
 
 @cache
@@ -380,11 +425,6 @@ def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple
     return tuple(out)
 
 
-def fs_name(f: MonotoneMap) -> str:
-    """Deterministic element name for a map inside a function-space poset."""
-    return "{" + ",".join(f"{d}:{c}" for d, c in f.mapping().items()) + "}"
-
-
 @cache
 def function_space_maps(
     p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP
@@ -392,13 +432,9 @@ def function_space_maps(
     """The poset of monotone maps p -> q together with the maps themselves,
     aligned index-for-index with the poset's elements; built once per (p, q, cap)."""
     maps = monotone_maps(p, q, cap)
-    elems = tuple(fs_name(f) for f in maps)
-    v = _distinct_elems(elems)  # names with ':' or ',' can render two maps alike
-    if v is not None:
-        raise InvalidPoset(v)
     # bit k of above[a][v] is set iff maps[k] sends a to a value >= v, so the
     # up-set row of f is the and of above[a][f(a)] over the positions a
-    sends = [[0] * len(q) for _ in p.elems]  # bit k of sends[a][u]: maps[k] sends a to u
+    sends = [[0] * len(q) for _ in p.up]  # bit k of sends[a][u]: maps[k] sends a to u
     for k, f in enumerate(maps):
         for a, u in enumerate(f.table):
             sends[a][u] |= 1 << k
@@ -409,11 +445,8 @@ def function_space_maps(
         for a, v in enumerate(f.table):
             row &= above[a][v]
         rows.append(row)
-    up = tuple(rows)
-    bottom = None
-    if q.is_pointed:
-        bottom = fs_name(const_map(p, q, q.bottom))
-    return FinPoset(elems, up, bottom), maps
+    bot = maps.index(MonotoneMap(p, q, (q.bot,) * len(p))) if q.is_pointed else None
+    return FinPoset(("fun", p, q, maps), tuple(rows), bot), maps
 
 
 def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP) -> FinPoset:
@@ -426,7 +459,7 @@ def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP) -> Fin
 def _refine_ranks(p: FinPoset) -> list[int]:
     """Iterated order-invariant refinement of element classes."""
     n = len(p)
-    bot = p.elems.index(p.bottom) if p.bottom is not None else -1
+    bot = -1 if p.bot is None else p.bot
     up, down = p.up, p.down
     key: list = [(down[i].bit_count(), up[i].bit_count(), i == bot) for i in range(n)]
     below = above = None
@@ -669,7 +702,7 @@ def _canonical(p: FinPoset) -> tuple[str, tuple[int, ...]]:
         prefix, bits = "P", _matrix(rows, order) if n else ""
     else:
         prefix, (bits, order) = "IR", _least_leaf(p, rk, rows)
-    bslot = order.index(p.elems.index(p.bottom)) if p.bottom is not None else -1
+    bslot = -1 if p.bot is None else order.index(p.bot)
     return f"{prefix}{n};{bits};bot={bslot}", order
 
 
@@ -717,11 +750,7 @@ def poset_from_json(obj: dict) -> FinPoset:
     if bottom is not None and not isinstance(bottom, str):
         raise InvalidPoset(f"bottom must be a string or null, got {bottom!r}")
     up = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in leq)
-    p = FinPoset(tuple(elems), up, bottom)
-    v = validate_poset(p)
-    if v is not None:
-        raise InvalidPoset(v)
-    return p
+    return _checked(tuple(elems), up, bottom)
 
 
 def map_to_json(f: MonotoneMap) -> dict:

@@ -15,9 +15,7 @@ from .finposet import (
     Interned,
     MonotoneMap,
     compose,
-    const_map,
     identity,
-    is_monotone,
     leq_map,
     map_from_json,
     map_to_json,
@@ -126,7 +124,7 @@ def bottom_inclusion_pair(pt: FinPoset, q: FinPoset, kind: Kind = Kind.EP) -> Pa
         raise ShapeMismatch("bottom_inclusion_pair: source must be the one-point poset")
     if not q.is_pointed:
         raise ShapeMismatch("bottom_inclusion_pair: target must be pointed")
-    return make_pair(kind, const_map(pt, q, q.bottom), const_map(q, pt, pt.elems[0]))
+    return make_pair(kind, MonotoneMap(pt, q, (q.bot,)), MonotoneMap(q, pt, (0,) * len(q)))
 
 
 def derived_right_leg(l: MonotoneMap) -> MonotoneMap | None:
@@ -170,8 +168,4 @@ def pair_to_json(f: PairHom) -> dict:
 
 def pair_from_json(obj: dict) -> PairHom:
     kind = Kind(obj["kind"])
-    l = map_from_json(obj["l"])
-    r = map_from_json(obj["r"])
-    if not is_monotone(l) or not is_monotone(r):
-        raise InvalidPair("pair legs must be monotone")
-    return make_pair(kind, l, r)
+    return make_pair(kind, map_from_json(obj["l"]), map_from_json(obj["r"]))

@@ -11,7 +11,7 @@ function-space element names.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chains import Cocone, _e_stab, _round_trips
 from .errors import CapExceeded, InvalidCategory, ShapeMismatch
@@ -20,7 +20,6 @@ from .finposet import (
     MapChain,
     MonotoneMap,
     compose,
-    fs_name,
     function_space_maps,
     identity,
     leq_map,
@@ -85,14 +84,20 @@ def validate_category(k: FinOCategory) -> None:
                             )
 
 
+def _token(p: FinPoset, q: FinPoset, m: MonotoneMap) -> str:
+    """The token of m: p -> q, the name at m's position in the function space."""
+    fs, maps = function_space_maps(p, q)
+    return fs.elems[maps.index(m)]
+
+
 @dataclass(frozen=True)
 class PosetOCategory:
-    """Full sub-O-category of the base poset category on named posets,
-    remembering the token <-> monotone-map dictionary."""
+    """Full sub-O-category of the base poset category on named posets; the
+    tokens of hom(a, b) name the maps of function_space_maps, position by
+    position."""
 
     cat: FinOCategory
     posets: dict  # object name -> FinPoset
-    _maps: dict = field(default_factory=dict)  # (a, b) -> {token: MonotoneMap}
 
     def object_of_poset(self, p: FinPoset) -> str:
         for name, q in self.posets.items():
@@ -101,37 +106,31 @@ class PosetOCategory:
         raise ShapeMismatch(f"poset {p!r} is not registered in the category")
 
     def token_of_map(self, a: str, b: str, m: MonotoneMap) -> str:
-        t = fs_name(m)
-        if t not in self.cat.hom[(a, b)].elems:
-            raise ShapeMismatch(f"map {m!r} is not a token of hom({a},{b})")
-        return t
+        try:
+            return _token(self.posets[a], self.posets[b], m)
+        except ValueError:
+            raise ShapeMismatch(f"map {m!r} is not a token of hom({a},{b})") from None
 
     def map_of_token(self, a: str, b: str, t: str) -> MonotoneMap:
-        return self._maps[(a, b)][t]
+        fs, maps = function_space_maps(self.posets[a], self.posets[b])
+        return maps[fs.index(t)]
 
 
 def build_poset_category(posets: dict) -> PosetOCategory:
     names = tuple(posets)
-    hom = {}
-    maps = {}
-    for a in names:
-        for b in names:
-            fs, ms = function_space_maps(posets[a], posets[b])
-            hom[(a, b)] = fs
-            maps[(a, b)] = {fs_name(m): m for m in ms}
+    hom = {(a, b): function_space_maps(posets[a], posets[b]) for a in names for b in names}
     comp = {}
-    for a in names:
-        for b in names:
-            for c in names:
-                table = {}
-                for tf, mf in maps[(a, b)].items():
-                    for tg, mg in maps[(b, c)].items():
-                        table[(tf, tg)] = fs_name(compose(mg, mf))
-                comp[(a, b, c)] = table
-    ids = {a: fs_name(identity(posets[a])) for a in names}
-    k = FinOCategory(names, hom, comp, ids)
+    for a, b, c in itertools.product(names, repeat=3):
+        (fs_ab, maps_ab), (fs_bc, maps_bc) = hom[(a, b)], hom[(b, c)]
+        comp[(a, b, c)] = {
+            (tf, tg): _token(posets[a], posets[c], compose(mg, mf))
+            for tf, mf in zip(fs_ab.elems, maps_ab)
+            for tg, mg in zip(fs_bc.elems, maps_bc)
+        }
+    ids = {a: _token(posets[a], posets[a], identity(posets[a])) for a in names}
+    k = FinOCategory(names, {ab: fs for ab, (fs, _) in hom.items()}, comp, ids)
     validate_category(k)
-    return PosetOCategory(k, dict(posets), maps)
+    return PosetOCategory(k, dict(posets))
 
 
 # ---------------------------------------------------------------------------

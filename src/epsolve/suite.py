@@ -169,7 +169,7 @@ def functor_family(max_depth: int, consts: list[tuple[FinPoset, str]]) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# P1/P4a: locally determined => colimiting, over enumerated cocones
+# P1/P4a: locally determined <=> colimiting, over enumerated cocones
 
 def run_ld_implies_colimiting(
     seed: int,
@@ -188,7 +188,7 @@ def run_ld_implies_colimiting(
         apexes = apex_catalog() + (d.objects[d.stab_index],)
         for k in cocones_over(d, apexes):
             cases += 1
-            if check_local_determination(k).verdict and not is_colimiting(k):
+            if check_local_determination(k).verdict != is_colimiting(k):
                 failures.append({"chain": repr(d), "apex": repr(k.apex)})
     name = "P1" if kind == Kind.EP else "P4a"
     return PropertyResult(name, not failures, cases, failures), chains

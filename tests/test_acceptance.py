@@ -1,6 +1,6 @@
 """Acceptance criteria P1-P7, one verdict per criterion at the stated scale.
 
-P1  locally determined => colimiting on >= 200 seeded ep-chains.
+P1  locally determined <=> colimiting on >= 200 seeded ep-chains.
 P2  every functor in the depth-2 family preserves every canonical colimit
     from P1 (colimiting and LD verdicts both true).
 P3  the fixed counterexample cocone fails LD and fails the colimiting
@@ -41,6 +41,15 @@ def test_criterion(results, criterion):
 def test_p1_scale(results):
     # at least 200 chains were generated and enumerable cocones checked
     assert results["P1"][0].cases >= 200
+
+
+def test_p1_fails_on_a_colimiting_verdict_it_does_not_characterise(monkeypatch):
+    # every cocone called colimiting: the ones that are not locally determined disagree
+    import epsolve.suite as suite
+
+    monkeypatch.setattr(suite, "is_colimiting", lambda k: True)
+    result, _ = suite.run_ld_implies_colimiting(0, chain_count=20)
+    assert not result.passed and result.failures
 
 
 def test_p7_scale(results):

@@ -20,7 +20,6 @@ from epsolve.chains import (
     cocone_from_json,
     cocone_to_json,
     colimit_finite,
-    enumerate_threads,
     is_cocone,
     is_colimiting,
     is_colimiting_by_enumeration,
@@ -326,13 +325,6 @@ def test_lift_approximant_sizes():
     d = lift_chain()
     for depth in range(5):
         assert len(thread_approximant(d, depth).apex) == depth + 1
-
-
-def test_threads_are_projection_compatible():
-    d = lift_chain()
-    for t in enumerate_threads(d, 3):
-        for k in range(3):
-            assert d.links[k].r(t.components[k + 1]) == t.components[k]
 
 
 def test_round_trip_fixes_determined_threads():

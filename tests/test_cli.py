@@ -35,6 +35,13 @@ def test_solve_prints_stages(capsys):
     assert "canonical_form" in out
 
 
+def test_solve_fun_body_to_depth_40(capsys):
+    # one element a stage, while its name would grow about 12-fold a stage
+    body = "D = fun(lift(fun(const(flat2),const(flat2))),D)"
+    assert main(["solve", body, "--depth", "40"]) == 0
+    assert "locally determined: True" in capsys.readouterr().out
+
+
 def test_solve_json_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["solve", "D = lift(D)", "--depth", "4", "--json", str(p1)]) == 0
@@ -217,6 +224,10 @@ def _list_table(payload):
     payload["legs"][1]["l"]["table"] = ["v0", "v1"]
 
 
+def _non_monotone_leg(payload):
+    payload["legs"][1]["l"]["table"] = {"v0": "v1", "v1": "v0"}
+
+
 @pytest.mark.parametrize(
     "corrupt,reason",
     [
@@ -226,8 +237,9 @@ def _list_table(payload):
         (_list_bottom, "InvalidPoset: bottom must be a string or null"),
         (_table_value_outside_codomain, "ShapeMismatch: map table values outside the codomain"),
         (_list_table, "ShapeMismatch: map table must be a dict"),
+        (_non_monotone_leg, "ShapeMismatch: deserialized map is not monotone"),
     ],
-    ids=["leq-truthy", "elems-int", "table-extra", "bottom-list", "table-value", "table-list"],
+    ids=["leq-truthy", "elems-int", "table-extra", "bottom-list", "table-value", "table-list", "leg-non-monotone"],
 )
 def test_check_ld_rejects_invalid_fields(corrupt, reason, tmp_path, capsys):
     payload = cocone_to_json(colimit_finite(n1_chain()))

@@ -267,6 +267,17 @@ def test_solve_report_checks_one_approximant(monkeypatch):
         assert report.defect_matrix[-1] == last_row
 
 
+def test_solving_renders_no_element_names(monkeypatch):
+    """Stages are compared by position; their names are rendered only when read."""
+    import epsolve.finposet as finposet
+
+    rendered = []
+    real = finposet._render
+    monkeypatch.setattr(finposet, "_render", lambda term: rendered.append(term) or real(term))
+    report = solve_report(parse_equation("D = lift(D)", depth=50))
+    assert len(report.stages) == 51 and rendered == []
+
+
 @pytest.mark.parametrize(
     "text,depth",
     [("D = fun(D,D)", 3), ("D = prod(D,unit)", 5), ("D = const(diamond)", 4),

@@ -96,7 +96,7 @@ def test_transitivity_violation_detected():
 
 
 def test_bottom_must_be_least():
-    p = FinPoset(("a", "b"), (0b01, 0b10), bottom="a")
+    p = FinPoset(("a", "b"), (0b01, 0b10), bot=0)
     v = validate_poset(p)
     assert v is not None and v.axiom == "bottom-least"
 
@@ -159,9 +159,12 @@ def test_validate_poset_matches_cubic_oracle(data):
                         a, b = data.draw(st.sampled_from([(i, j), (j, i)]))
                         leq[a][b] = False
     bottom = data.draw(st.sampled_from([None, "zz", *elems]))
-    up = tuple(sum(1 << j for j, b in enumerate(row) if b) for row in leq)
-    p = FinPoset(tuple(elems), up, bottom)
-    assert validate_poset(p) == _validate_cubic(tuple(elems), leq, bottom)
+    try:
+        poset_from_json({"elems": elems, "leq": leq, "bottom": bottom})
+        got = None
+    except InvalidPoset as exc:
+        got = exc.args[0]
+    assert got == _validate_cubic(tuple(elems), leq, bottom)
 
 
 def test_make_poset_takes_transitive_closure():
@@ -174,20 +177,90 @@ def test_make_poset_rejects_cycles():
         make_poset(("a", "b"), [("a", "b"), ("b", "a")])
 
 
-def test_product_rejects_colliding_names():
-    # "(a" + "," + "b,c)" and "(a,b" + "," + "c)" render alike
-    p = make_poset(("a", "a,b"), [])
-    q = make_poset(("b,c", "c"), [])
-    with pytest.raises(InvalidPoset) as exc:
-        product(p, q)
-    assert exc.value.args[0].axiom == "distinct-elems"
-    assert exc.value.args[0].witness == ("(a,b,c)",)
+def test_product_escapes_colliding_names():
+    # unescaped, "(a" + "," + "b,c)" and "(a,b" + "," + "c)" would render alike
+    r = product(make_poset(("a", "a,b"), []), make_poset(("b,c", "c"), []))
+    assert validate_poset(r) is None
+    assert r.elems == ("(a,b\\,c)", "(a,c)", "(a\\,b,b\\,c)", "(a\\,b,c)")
+    # a backslash is escaped too: else the names \ and ,a, and ,\ and a, would both pair up as (\,\,a)
+    r = product(make_poset(("\\", ",\\"), []), make_poset((",a", "a"), []))
+    assert validate_poset(r) is None
 
 
-def test_function_space_rejects_colliding_names():
-    # {a:x,b:x,b:x} names both a->"x,b:x", b->"x" and a->"x", b->"x,b:x"
-    with pytest.raises(InvalidPoset):
-        function_space(make_poset(("a", "b"), []), make_poset(("x,b:x", "x"), []))
+def test_function_space_escapes_colliding_names():
+    # unescaped, {a:x,b:x,b:x} would name both a->"x,b:x", b->"x" and a->"x", b->"x,b:x"
+    fs = function_space(make_poset(("a", "b"), []), make_poset(("x,b:x", "x"), []))
+    assert validate_poset(fs) is None and len(set(fs.elems)) == len(fs) == 4
+
+
+# ---------------------------------------------------------------------------
+# rendered names
+
+@st.composite
+def constructed(draw, depth=3):
+    """(poset, names, bottom): a lift/sum/prod/fun tree over small posets,
+    with the names and bottom that building every name string eagerly, at
+    construction, gave it."""
+    if depth == 0 or draw(st.booleans()):
+        p = draw(small_posets(max_size=3, pointed=draw(st.booleans())))
+        return p, p.elems, p.bottom
+    p, pe, pb = draw(constructed(depth - 1))
+    op = draw(st.sampled_from(["lift", "sum", "prod", "fun"]))
+    q, qe, qb = draw(constructed(depth - 1))
+    if op == "sum" and pb is not None and qb is not None:
+        names = ("sum-bottom",) + tuple(f"inl({a})" for a in pe) + tuple(f"inr({b})" for b in qe)
+        return coproduct(p, q), names, "sum-bottom"
+    if op == "prod":
+        bottom = None if pb is None or qb is None else f"({pb},{qb})"
+        return product(p, q), tuple(f"({a},{b})" for a in pe for b in qe), bottom
+    if op == "fun":
+        try:
+            fs, maps = function_space_maps(p, q, cap=64)
+        except CapExceeded:
+            pass
+        else:
+            def name(table):
+                return "{" + ",".join(f"{a}:{qe[v]}" for a, v in zip(pe, table)) + "}"
+
+            bottom = None if qb is None else name([qe.index(qb)] * len(p))
+            return fs, tuple(name(f.table) for f in maps), bottom
+    return lift(p), ("lift-bottom",) + tuple(f"up({a})" for a in pe), "lift-bottom"
+
+
+@given(constructed())
+@settings(max_examples=150, deadline=None)
+def test_rendered_names_are_the_eagerly_built_ones(built):
+    p, names, bottom = built
+    assert p.elems == names and p.bottom == bottom
+
+
+def test_deep_terms_render_without_deep_recursion():
+    # rendering by recursion, some frames a level, would pass the default limit of 1000 frames
+    p = one_point()
+    for _ in range(300):
+        p = lift(p)
+    assert p.elems[-1] == "up(" * 300 + "*" + ")" * 300 and p.bottom == "lift-bottom"
+
+
+#: user names over the characters a constructed name is built from; from
+#: "a" and "," alone, products and function spaces would collide unescaped
+reserved_names = st.text(alphabet="a,", max_size=3) | st.text(alphabet="ab\\(),{}:", max_size=4)
+
+
+@given(
+    st.lists(reserved_names, min_size=1, max_size=3, unique=True),
+    st.lists(reserved_names, min_size=1, max_size=3, unique=True),
+    st.sampled_from([product, coproduct, function_space]),
+    st.sampled_from([product, coproduct, function_space]),
+)
+@settings(max_examples=150, deadline=None)
+def test_rendering_is_injective_on_reserved_characters(xs, ys, inner, outer):
+    p = make_poset(xs, [(xs[0], x) for x in xs[1:]], xs[0])
+    q = make_poset(ys, [(ys[0], y) for y in ys[1:]], ys[0])
+    assert p.elems == tuple(xs)  # a top-level user name is never escaped
+    r = inner(p, q)
+    for s in (r, lift(r), outer(r, p), outer(q, r)):
+        assert validate_poset(s) is None
 
 
 def test_catalog_shapes():
@@ -551,7 +624,7 @@ def relabel(p, perm):
     for i in range(n):
         elems[perm[i]] = f"x{p.elems[i]}"
         up[perm[i]] = sum(1 << perm[j] for j in range(n) if p.up[i] >> j & 1)
-    q = FinPoset(tuple(elems), tuple(up), None if p.bottom is None else f"x{p.bottom}")
+    q = FinPoset(tuple(elems), tuple(up), None if p.bot is None else perm[p.bot])
     assert validate_poset(q) is None
     return q
 
@@ -732,10 +805,10 @@ def test_map_json_round_trip():
 def test_poset_construction_is_interned():
     e, u = ("a", "b"), (0b11, 0b10)
     p = FinPoset(e, u)
-    assert p is FinPoset(e, u, None) is FinPoset(elems=e, up=u, bottom=None)
+    assert p is FinPoset(e, u, None) is FinPoset(names=e, up=u, bot=None)
     assert p is FinPoset(e, up=u) is dataclasses.replace(p)
     assert p is make_poset(("a", "b"), [("a", "b")])
-    assert p != FinPoset(e, u, "a") and p != FinPoset(("a", "c"), u)
+    assert p != FinPoset(e, u, 0) and p != FinPoset(("a", "c"), u)
 
 
 def test_map_construction_is_interned():
@@ -749,6 +822,12 @@ def test_map_construction_is_interned():
 
 def test_poset_json_round_trip_is_the_same_object():
     assert poset_from_json(poset_to_json(diamond())) is diamond()
+
+
+def test_json_read_poset_keeps_names_apart_from_the_constructed_one():
+    p = lift(two())
+    q = poset_from_json(poset_to_json(p))
+    assert q is not p and (q.elems, q.up, q.bot) == (p.elems, p.up, p.bot)
 
 
 def test_unreferenced_poset_is_collected():

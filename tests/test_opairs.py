@@ -259,3 +259,10 @@ def test_pair_json_rejects_invalid():
     bad["l"]["table"]["*"] = "v1"  # turn l into the top inclusion
     with pytest.raises(InvalidPair):
         pair_from_json(bad)
+
+
+def test_pair_json_with_a_non_monotone_leg_is_a_shape_mismatch():
+    bad = pair_to_json(pair_identity(two()))
+    bad["r"]["table"] = {"v0": "v1", "v1": "v0"}
+    with pytest.raises(ShapeMismatch, match="not monotone"):
+        pair_from_json(bad)
