@@ -140,6 +140,21 @@ def cmd_yoneda_demo(args) -> int:
     return 0 if ok else 1
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="epsolve",
@@ -169,11 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preserve)
 
     p = sub.add_parser("verify-theorems", help="run the seeded property suites")
-    p.add_argument("--chains", type=int, default=200)
-    p.add_argument("--lub-cases", type=int, default=50)
+    p.add_argument("--chains", type=_int_at_least(0), default=200)
+    p.add_argument("--lub-cases", type=_int_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=5)
+    # a poset has at least one element, and a chain at least one link
+    p.add_argument("--max-size", type=_int_at_least(1), default=4)
+    p.add_argument("--max-len", type=_int_at_least(2), default=5)
     p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_verify_theorems)
 

@@ -392,37 +392,64 @@ def lift(p: FinPoset) -> FinPoset:
     return FinPoset(("lift", p), (full,) + tuple(row << 1 for row in p.up), 0)
 
 
-@cache
-def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple[MonotoneMap, ...]:
-    """All monotone maps p -> q in a fixed (table-lexicographic) order;
-    CapExceeded as soon as a (cap+1)-th map is found."""
+def _walk(p: FinPoset, q: FinPoset, cap: int, embed: bool) -> tuple[MonotoneMap, ...]:
+    """The monotone maps p -> q, or with `embed` the order embeddings
+    (f(i) <= f(j) iff i <= j), in table-lexicographic order; CapExceeded as
+    soon as a (cap+1)-th is found.  Position i's candidates are cut by one
+    row of q per earlier position j, picked by how i and j compare in p."""
     n, m = len(p), len(q)
     if n == 0:
         return (MonotoneMap(p, q, ()),)
+    full = (1 << m) - 1
+    if embed:
+        # strictly above, strictly below, incomparable: none holds v itself,
+        # so an embedding is injective
+        ge = [u & ~d for u, d in zip(q.up, q.down)]
+        le = [d & ~u for u, d in zip(q.up, q.down)]
+        apart = [full & ~(u | d) for u, d in zip(q.up, q.down)]
+    else:
+        ge, le, apart = q.up, q.down, None
+    # (j, rows) for each earlier position j: candidates at i lie in rows[tab[j]]
+    cuts = []
+    for i, (below, above) in enumerate(zip(p.down, p.up)):
+        cut = []
+        for j in range(i):
+            rows = ge if below >> j & 1 else le if above >> j & 1 else apart
+            if rows is not None:
+                cut.append((j, rows))
+        cuts.append(cut)
     out: list[MonotoneMap] = []
     tab = [0] * n
-    # the earlier positions below and above position i
-    below = [_ones(row & ((1 << i) - 1)) for i, row in enumerate(p.down)]
-    above = [_ones(row & ((1 << i) - 1)) for i, row in enumerate(p.up)]
-    up_q, down_q = q.up, q.down
 
     def rec(i: int) -> None:
         if i == n:
             out.append(MonotoneMap(p, q, tuple(tab)))
             if len(out) > cap:
-                raise CapExceeded(f"more than {cap} monotone maps from {n} to {m} elements")
+                what = "order embeddings" if embed else "monotone maps"
+                raise CapExceeded(f"more than {cap} {what} from {n} to {m} elements")
             return
-        cands = (1 << m) - 1
-        for j in below[i]:
-            cands &= up_q[tab[j]]
-        for j in above[i]:
-            cands &= down_q[tab[j]]
+        cands = full
+        for j, rows in cuts[i]:
+            cands &= rows[tab[j]]
         for v in _ones(cands):
             tab[i] = v
             rec(i + 1)
 
     rec(0)
     return tuple(out)
+
+
+@cache
+def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple[MonotoneMap, ...]:
+    """All monotone maps p -> q in a fixed (table-lexicographic) order;
+    CapExceeded as soon as a (cap+1)-th map is found."""
+    return _walk(p, q, cap, embed=False)
+
+
+def order_embeddings(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple[MonotoneMap, ...]:
+    """The monotone maps p -> q that also reflect the order, in the order
+    `monotone_maps` lists them; CapExceeded past `cap` embeddings."""
+    return _walk(p, q, cap, embed=True)
 
 
 @cache

@@ -261,13 +261,18 @@ class PreservationResult:
     locally_determined: LdReport
 
 
-def preserves_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> PreservationResult:
-    """Apply the functor to the whole cocone and rerun the checkers on the
-    image."""
+def image_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> Cocone:
+    """The functor applied to every link and leg of the cocone."""
     links = tuple(pr_apply_mor(e, f, elem_cap) for f in k.chain.links)
     legs = tuple(pr_apply_mor(e, leg, elem_cap) for leg in k.legs)
     objects = tuple(leg.src for leg in legs)
-    image = Cocone(OmegaChain(objects, links, k.chain.stab_index), legs[0].tgt, legs)
+    return Cocone(OmegaChain(objects, links, k.chain.stab_index), legs[0].tgt, legs)
+
+
+def preserves_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> PreservationResult:
+    """Apply the functor to the whole cocone and rerun the checkers on the
+    image."""
+    image = image_cocone(e, k, elem_cap)
     return PreservationResult(
         image,
         is_colimiting(image),

@@ -20,6 +20,7 @@ from .finposet import (
     map_from_json,
     map_to_json,
     monotone_maps,
+    order_embeddings,
 )
 
 DEFAULT_PAIR_CAP = 64
@@ -146,16 +147,19 @@ def derived_right_leg(l: MonotoneMap) -> MonotoneMap | None:
 def enumerate_pairs(
     a: FinPoset, b: FinPoset, kind: Kind = Kind.EP, cap: int = DEFAULT_PAIR_CAP
 ) -> tuple[PairHom, ...]:
-    """All valid pairs a -> b of the given kind, in a deterministic order.
+    """All valid pairs a -> b of the given kind, ordered by left-leg table.
 
     Each component determines the other, so only left legs are enumerated;
-    the derived right leg is then checked against the kind's invariant.
+    the derived right leg is then checked against the kind's invariant.  An
+    ep pair's left leg is an order embedding (r∘l = id makes it injective and
+    order-reflecting), so EP walks only the order embeddings; ADJ walks every
+    monotone map.
     """
     if len(a) * len(b) > cap:
         raise CapExceeded(f"enumerate_pairs: |A|*|B| = {len(a) * len(b)} > cap {cap}")
     check = _CHECKS[kind]
     out = []
-    for l in monotone_maps(a, b):
+    for l in order_embeddings(a, b) if kind == Kind.EP else monotone_maps(a, b):
         r = derived_right_leg(l)
         if r is not None and check(l, r):
             out.append(PairHom(kind, l, r))

@@ -42,6 +42,7 @@ from .functors import (
     Lift,
     Prod,
     Sum,
+    image_cocone,
     preserves_cocone,
 )
 from .opairs import Kind, PairHom, bottom_inclusion_pair, enumerate_pairs, pair_identity
@@ -171,6 +172,17 @@ def functor_family(max_depth: int, consts: list[tuple[FinPoset, str]]) -> tuple[
 # ---------------------------------------------------------------------------
 # P1/P4a: locally determined <=> colimiting, over enumerated cocones
 
+def _decide(k: Cocone, memo: dict[Cocone, tuple[bool, bool]]) -> tuple[bool, bool]:
+    """(colimiting, locally determined) of k, decided once per distinct
+    cocone in `memo`, the dict of one property run.  A Cocone holds interned
+    members, so its hash and == are cheap; the checkers are looked up in
+    this module's globals, where tests patch them."""
+    out = memo.get(k)
+    if out is None:
+        out = memo[k] = (is_colimiting(k), check_local_determination(k).verdict)
+    return out
+
+
 def run_ld_implies_colimiting(
     seed: int,
     kind: Kind = Kind.EP,
@@ -183,12 +195,14 @@ def run_ld_implies_colimiting(
     chains = [random_chain(rng, kind, max_size, max_len) for _ in range(chain_count)]
     failures = []
     cases = 0
+    memo: dict[Cocone, tuple[bool, bool]] = {}
     for d in chains:
         # Δ_N, the canonical colimit's apex
         apexes = apex_catalog() + (d.objects[d.stab_index],)
         for k in cocones_over(d, apexes):
             cases += 1
-            if check_local_determination(k).verdict != is_colimiting(k):
+            colimiting, ld = _decide(k, memo)
+            if ld != colimiting:
                 failures.append({"chain": repr(d), "apex": repr(k.apex)})
     name = "P1" if kind == Kind.EP else "P4a"
     return PropertyResult(name, not failures, cases, failures), chains
@@ -202,12 +216,13 @@ def run_ld_implies_colimiting(
 IMAGE_SIZE_LIMIT = 8
 
 
-def _preserve_verdicts(e: FunctorExpr, canon: Cocone):
+def _preserve_verdicts(e: FunctorExpr, canon: Cocone, memo: dict[Cocone, tuple[bool, bool]]):
     """(colimiting, ld verdict) of the functor image, or None when the image
-    exceeds IMAGE_SIZE_LIMIT or needs a bottom that is missing."""
+    exceeds IMAGE_SIZE_LIMIT or needs a bottom that is missing.  Images
+    repeat (a constant functor sends every chain of one length and witness
+    to the same cocone), so each distinct image is decided once."""
     try:
-        res = preserves_cocone(e, canon, IMAGE_SIZE_LIMIT)
-        return (res.colimiting, res.locally_determined.verdict)
+        return _decide(image_cocone(e, canon, IMAGE_SIZE_LIMIT), memo)
     except (CapExceeded, NotPointed):
         return None
 
@@ -221,9 +236,10 @@ def run_preservation(chains: list[OmegaChain], kind: Kind) -> PropertyResult:
             canon_by_key[d] = colimit_finite(d)
     failures = []
     cases = 0
+    memo: dict[Cocone, tuple[bool, bool]] = {}
     for d, canon in canon_by_key.items():
         for e in family:
-            verdicts = _preserve_verdicts(e, canon)
+            verdicts = _preserve_verdicts(e, canon, memo)
             if verdicts is None:
                 continue
             cases += 1

@@ -12,8 +12,12 @@ P5  two-object Yoneda example: fully faithful, exact Nat counts, the
 P6  solver growth and byte-identical reports for D = lift(D) at depth 4.
 P7  lub oracle cross-check on 50 seeded cases.
 """
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from epsolve.opairs import Kind
 from epsolve.suite import run_all
 
 CRITERIA = ["P1", "P2", "P3", "P4", "P5", "P6", "P7"]
@@ -38,6 +42,18 @@ def test_criterion(results, criterion):
     assert cases > 0
 
 
+#: run_all(seed=0) at acceptance scale; a change to the generators, the
+#: enumeration order or the family moves these
+SEED0_CASES = {
+    "P1": 1083, "P2": 6098, "P3": 1, "P4a": 3276, "P4b": 6267,
+    "P4c": 200, "P5": 1, "P6": 1, "P7": 50,
+}
+
+
+def test_seed0_case_counts(results):
+    assert {r.name: r.cases for parts in results.values() for r in parts} == SEED0_CASES
+
+
 def test_p1_scale(results):
     # at least 200 chains were generated and enumerable cocones checked
     assert results["P1"][0].cases >= 200
@@ -54,3 +70,67 @@ def test_p1_fails_on_a_colimiting_verdict_it_does_not_characterise(monkeypatch):
 
 def test_p7_scale(results):
     assert results["P7"][0].cases == 50
+
+
+def _recording_images(monkeypatch, suite):
+    """Patch suite.image_cocone to log ((functor, chain), image) per image built."""
+    real, log = suite.image_cocone, []
+
+    def image_cocone(e, k, elem_cap):
+        out = real(e, k, elem_cap)
+        log.append(((e, k.chain), out))
+        return out
+
+    monkeypatch.setattr(suite, "image_cocone", image_cocone)
+    return log
+
+
+def test_run_preservation_decides_each_distinct_image_once(monkeypatch):
+    import epsolve.suite as suite
+
+    _, chains = suite.run_ld_implies_colimiting(0, chain_count=40)
+    images = _recording_images(monkeypatch, suite)
+    decided = Counter()
+    real_colim, real_ld = suite.is_colimiting, suite.check_local_determination
+
+    def is_colimiting(k):
+        decided["colim", k] += 1
+        return real_colim(k)
+
+    def check_local_determination(k):
+        decided["ld", k] += 1
+        return real_ld(k)
+
+    monkeypatch.setattr(suite, "is_colimiting", is_colimiting)
+    monkeypatch.setattr(suite, "check_local_determination", check_local_determination)
+    for run in (1, 2):  # the memo lives for one run
+        result = suite.run_preservation(chains, Kind.EP)
+        distinct = {image for _, image in images}
+        assert result.passed and result.cases == len(images) > len(distinct)
+        assert set(decided) == {(which, k) for which in ("colim", "ld") for k in distinct}
+        assert set(decided.values()) == {run}
+        images.clear()
+
+
+def test_run_preservation_fails_every_case_of_a_shared_image(monkeypatch):
+    import epsolve.suite as suite
+
+    _, chains = suite.run_ld_implies_colimiting(0, chain_count=40)
+    images = _recording_images(monkeypatch, suite)
+    clean = suite.run_preservation(chains, Kind.EP)
+    chains_of = {}
+    for (e, d), image in images:
+        chains_of.setdefault(image, set()).add(d)
+    shared = max(chains_of, key=lambda k: len(chains_of[k]))
+    assert len(chains_of[shared]) >= 2
+    hits = [{"functor": str(e), "chain": repr(d)} for (e, d), image in images if image == shared]
+    real_ld = suite.check_local_determination
+
+    def mutant(k):
+        report = real_ld(k)
+        return dataclasses.replace(report, verdict=False) if k == shared else report
+
+    monkeypatch.setattr(suite, "check_local_determination", mutant)
+    result = suite.run_preservation(chains, Kind.EP)
+    assert not result.passed and result.cases == clean.cases
+    assert result.failures == hits

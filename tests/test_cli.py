@@ -310,6 +310,27 @@ def test_verify_theorems_cap_hit_is_one_line(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "option,value,low",
+    [("--max-len", "1", 2), ("--max-size", "0", 1), ("--chains", "-1", 0), ("--lub-cases", "-1", 0)],
+)
+def test_verify_theorems_rejects_out_of_range_options(option, value, low, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorems", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.splitlines()[-1] == (
+        f"epsolve verify-theorems: error: argument {option}: must be at least {low}, got {value}"
+    )
+
+
+def test_verify_theorems_smallest_options_run(capsys):
+    argv = ["verify-theorems", "--chains", "3", "--lub-cases", "0", "--max-size", "1", "--max-len", "2"]
+    assert main(argv) == 0
+    assert "P7: PASS (0 cases)" in capsys.readouterr().out
+
+
 def test_yoneda_demo(capsys):
     assert main(["yoneda-demo"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -38,6 +38,7 @@ from epsolve.finposet import (
     map_to_json,
     monotone_maps,
     one_point,
+    order_embeddings,
     poset_from_json,
     poset_to_json,
     product,
@@ -510,6 +511,22 @@ def test_function_space_enumeration_stops_at_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="more than 10 monotone maps"):
         function_space_maps(antichain(8), antichain(8), cap=10)
     assert len(built) == 11
+
+
+@given(small_posets(max_size=5), small_posets(max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_order_embeddings_are_the_order_reflecting_monotone_maps(p, q):
+    def reflects(f):
+        t = f.table
+        return all(q.up[t[i]] >> t[j] & 1 == p.up[i] >> j & 1 for i in range(len(p)) for j in range(len(p)))
+
+    assert order_embeddings(p, q) == tuple(f for f in monotone_maps(p, q) if reflects(f))
+
+
+def test_order_embeddings_cap():
+    assert len(order_embeddings(antichain(3), antichain(4))) == 24
+    with pytest.raises(CapExceeded, match="more than 23 order embeddings from 3 to 4 elements"):
+        order_embeddings(antichain(3), antichain(4), cap=23)
 
 
 @given(small_posets(max_size=4), small_posets(max_size=5))

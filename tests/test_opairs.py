@@ -35,6 +35,7 @@ from epsolve.opairs import (
     pair_leq,
     pair_to_json,
 )
+from tests.test_finposet import small_posets
 
 
 def two():
@@ -218,6 +219,39 @@ def test_adjoint_pair_into_smaller_poset_exists():
 def test_enumerate_pairs_cap():
     with pytest.raises(CapExceeded):
         enumerate_pairs(diamond(), diamond(), Kind.EP, cap=8)
+
+
+def walk_and_filter(a, b, kind):
+    """Oracle for the order of enumerate_pairs: every monotone map a -> b
+    as a left leg, kept when its derived right leg passes the kind's check."""
+    check = is_ep_pair if kind == Kind.EP else is_adjoint_pair
+    out = []
+    for l in monotone_maps(a, b):
+        r = derived_right_leg(l)
+        if r is not None and check(l, r):
+            out.append(PairHom(kind, l, r))
+    return tuple(out)
+
+
+any_posets = st.booleans().flatmap(lambda pointed: small_posets(5, pointed))
+
+
+@given(any_posets, any_posets)
+@settings(max_examples=200, deadline=None)
+def test_enumerate_pairs_is_walk_and_filter_in_order(a, b):
+    # EP walks order embeddings only; the tuple, order included, is the
+    # filtered walk over every monotone map, so seeded draws from it hold
+    for kind in Kind:
+        assert enumerate_pairs(a, b, kind) == walk_and_filter(a, b, kind)
+
+
+def test_ep_enumeration_walks_no_monotone_maps():
+    # 3-chain into flat(6): 19 monotone maps, no order embedding
+    enumerate_pairs.cache_clear()
+    monotone_maps.cache_clear()
+    assert enumerate_pairs(three(), flat(6), Kind.EP) == ()
+    assert monotone_maps.cache_info().misses == 0
+    assert walk_and_filter(three(), flat(6), Kind.EP) == ()
 
 
 @given(st.integers(0, 10**6))
