@@ -46,7 +46,6 @@ from .functors import (
     apply_obj,
     check_functor_laws,
     check_local_continuity,
-    image_cocone,
     pr_apply_mor,
     preserves_cocone,
 )

@@ -408,16 +408,13 @@ def _walk(p: FinPoset, q: FinPoset, cap: int, embed: bool) -> tuple[MonotoneMap,
         le = [d & ~u for u, d in zip(q.up, q.down)]
         apart = [full & ~(u | d) for u, d in zip(q.up, q.down)]
     else:
-        ge, le, apart = q.up, q.down, None
-    # (j, rows) for each earlier position j: candidates at i lie in rows[tab[j]]
-    cuts = []
-    for i, (below, above) in enumerate(zip(p.down, p.up)):
-        cut = []
-        for j in range(i):
-            rows = ge if below >> j & 1 else le if above >> j & 1 else apart
-            if rows is not None:
-                cut.append((j, rows))
-        cuts.append(cut)
+        ge, le = q.up, q.down
+    # the earlier positions below, above and (for embeddings) unrelated to i
+    earlier = [(1 << i) - 1 for i in range(n)]
+    below = [_ones(row & e) for row, e in zip(p.down, earlier)]
+    above = [_ones(row & e) for row, e in zip(p.up, earlier)]
+    if embed:
+        unrelated = [_ones(e & ~(d | u)) for d, u, e in zip(p.down, p.up, earlier)]
     out: list[MonotoneMap] = []
     tab = [0] * n
 
@@ -429,8 +426,13 @@ def _walk(p: FinPoset, q: FinPoset, cap: int, embed: bool) -> tuple[MonotoneMap,
                 raise CapExceeded(f"more than {cap} {what} from {n} to {m} elements")
             return
         cands = full
-        for j, rows in cuts[i]:
-            cands &= rows[tab[j]]
+        for j in below[i]:
+            cands &= ge[tab[j]]
+        for j in above[i]:
+            cands &= le[tab[j]]
+        if embed:
+            for j in unrelated[i]:
+                cands &= apart[tab[j]]
         for v in _ones(cands):
             tab[i] = v
             rec(i + 1)
@@ -446,10 +448,10 @@ def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple
     return _walk(p, q, cap, embed=False)
 
 
-def order_embeddings(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple[MonotoneMap, ...]:
+def order_embeddings(p: FinPoset, q: FinPoset) -> tuple[MonotoneMap, ...]:
     """The monotone maps p -> q that also reflect the order, in the order
-    `monotone_maps` lists them; CapExceeded past `cap` embeddings."""
-    return _walk(p, q, cap, embed=True)
+    `monotone_maps` lists them; CapExceeded past HARD_ENUM_LIMIT embeddings."""
+    return _walk(p, q, HARD_ENUM_LIMIT, embed=True)
 
 
 @cache
