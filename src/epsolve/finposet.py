@@ -6,11 +6,12 @@ are computed exactly from an explicit stabilization witness.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import compress
 
 from .errors import CapExceeded, InvalidPoset, NotPointed, ShapeMismatch, WitnessError
 
@@ -72,10 +73,6 @@ def _bit_strings(rows: tuple[int, ...]) -> list[str]:
     return [format(row, f"0{n}b")[::-1] for row in rows]
 
 
-#: maps the characters of a bit string to bytes 0/1, selectors for compress
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 #: characters that give a constructed name its structure; a user name nested
 #: in a constructed one gets a backslash before each
 _ESCAPE = str.maketrans({c: "\\" + c for c in "\\(),{}:"})
@@ -97,15 +94,7 @@ class FinPoset(metaclass=Interned):
     def elems(self) -> tuple[str, ...]:
         if not _is_term(self.names):
             return self.names
-        # render unrendered subterms first, children before parents, so that
-        # a stage nested as deep as a long solve needs no deep recursion
-        todo = _unrendered(self)
-        while todo:
-            kids = _unrendered(todo[-1])
-            if kids:
-                todo += kids
-            else:
-                todo.pop().elems
+        _children_first(self, "elems")
         return _render(self.names)
 
     @property
@@ -118,7 +107,12 @@ class FinPoset(metaclass=Interned):
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        """Down-set rows, the transpose of `up`: bit i of `down[j]` iff element i <= element j."""
+        """Down-set rows, the transpose of `up`: bit i of `down[j]` iff
+        element i <= element j.  A lift, sum or product builds them from its
+        children's down rows; user-named posets and function spaces transpose."""
+        if _is_term(self.names) and self.names[0] != "fun":
+            _children_first(self, "down")
+            return _term_rows(self.names, "down")
         return tuple(int("".join(col)[::-1], 2) for col in zip(*_bit_strings(self.up)))
 
     def __len__(self) -> int:
@@ -143,9 +137,43 @@ def _is_term(names: tuple) -> bool:
     return len(names) > 1 and isinstance(names[1], FinPoset)
 
 
-def _unrendered(p: FinPoset) -> list[FinPoset]:
-    """The constructed posets in the term of p whose names are not rendered yet."""
-    return [q for q in p.names[1:3] if _is_term(q.names) and "elems" not in vars(q)]
+def _pending(p: FinPoset, attr: str) -> list[FinPoset]:
+    """The constructed posets in the term of p whose cached `attr` is not computed yet."""
+    return [q for q in p.names[1:3] if _is_term(q.names) and attr not in vars(q)]
+
+
+def _children_first(p: FinPoset, attr: str) -> None:
+    """Compute the cached `attr` of every constructed poset in p's term that
+    lacks it, children before parents, so that a stage nested as deep as a
+    long solve needs no deep recursion."""
+    todo = _pending(p, attr)
+    while todo:
+        kids = _pending(todo[-1], attr)
+        if kids:
+            todo += kids
+        else:
+            getattr(todo.pop(), attr)
+
+
+def _term_rows(term: tuple, side: str) -> tuple[int, ...]:
+    """The "up" or "down" rows of a lift, sum or prod term, from its
+    children's rows of the same side.  The fresh bottom of a lift or sum
+    lies below every element: its up row is full, and it is in every down row."""
+    if term[0] == "prod":
+        _, p, q = term
+        nq = len(q)
+        # (a,b) sits at i*nq + j: spread p's row to one bit per nq-bit block,
+        # then multiplying by q's row (under nq bits) copies it into each block
+        blocks = [sum(1 << (i * nq) for i in _ones(row)) for row in getattr(p, side)]
+        return tuple(spread * row for spread in blocks for row in getattr(q, side))
+    kids = term[1:]
+    n = 1 + sum(map(len, kids))
+    bottom, low = ((1 << n) - 1, 0) if side == "up" else (1, 1)
+    rows, shift = [bottom], 1
+    for k in kids:
+        rows += [row << shift | low for row in getattr(k, side)]
+        shift += len(k)
+    return tuple(rows)
 
 
 def _nested(p: FinPoset) -> tuple[str, ...]:
@@ -367,13 +395,9 @@ def lub_map_chain(c: MapChain) -> MonotoneMap:
 
 @cache
 def product(p: FinPoset, q: FinPoset) -> FinPoset:
-    nq = len(q)
-    # (a,b) sits at i*nq + j: spread p's row to one bit per nq-bit block,
-    # then multiplying by q's row (under nq bits) copies it into each block
-    blocks = [sum(1 << (i * nq) for i in _ones(row)) for row in p.up]
-    up = tuple(spread * row for spread in blocks for row in q.up)
-    bot = p.bot * nq + q.bot if p.is_pointed and q.is_pointed else None
-    return FinPoset(("prod", p, q), up, bot)
+    term = ("prod", p, q)
+    bot = p.bot * len(q) + q.bot if p.is_pointed and q.is_pointed else None
+    return FinPoset(term, _term_rows(term, "up"), bot)
 
 
 @cache
@@ -381,15 +405,14 @@ def coproduct(p: FinPoset, q: FinPoset) -> FinPoset:
     """Disjoint union glued below a fresh bottom (sum of pointed posets)."""
     if not (p.is_pointed and q.is_pointed):
         raise NotPointed("coproduct requires pointed posets")
-    full = (1 << (1 + len(p) + len(q))) - 1
-    up = (full,) + tuple(row << 1 for row in p.up) + tuple(row << (1 + len(p)) for row in q.up)
-    return FinPoset(("sum", p, q), up, 0)
+    term = ("sum", p, q)
+    return FinPoset(term, _term_rows(term, "up"), 0)
 
 
 @cache
 def lift(p: FinPoset) -> FinPoset:
-    full = (1 << (1 + len(p))) - 1
-    return FinPoset(("lift", p), (full,) + tuple(row << 1 for row in p.up), 0)
+    term = ("lift", p)
+    return FinPoset(term, _term_rows(term, "up"), 0)
 
 
 def _walk(p: FinPoset, q: FinPoset, cap: int, embed: bool) -> tuple[MonotoneMap, ...]:
@@ -485,26 +508,32 @@ def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP) -> Fin
 # ---------------------------------------------------------------------------
 # canonical forms and isomorphism
 
+#: maps the characters of a bit string to bytes 0/1
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _ranks_in(rk: list[int], row: int) -> tuple[int, ...]:
+    """The sorted ranks of the elements in `row`, whose bits, as bytes 0/1,
+    select them from `rk`."""
+    return tuple(sorted(compress(rk, format(row, f"0{len(rk)}b")[::-1].encode().translate(_FLAGS))))
+
+
 def _refine_ranks(p: FinPoset) -> list[int]:
-    """Iterated order-invariant refinement of element classes."""
+    """Iterated order-invariant refinement of element classes.  Only an
+    element whose class has another member gets the ranks below and above
+    it: a singleton's rank already sets it apart, so its key is that rank."""
     n = len(p)
     bot = -1 if p.bot is None else p.bot
     up, down = p.up, p.down
     key: list = [(down[i].bit_count(), up[i].bit_count(), i == bot) for i in range(n)]
-    below = above = None
     while True:
         ranks = {k: r for r, k in enumerate(sorted(set(key)))}
         rk = [ranks[k] for k in key]
         if len(ranks) == n:  # discrete: nothing left to split
             return rk
-        if below is None:  # byte flags per row, so compress picks out the ranks
-            below = [b.encode().translate(_FLAGS) for b in _bit_strings(down)]
-            above = [b.encode().translate(_FLAGS) for b in _bit_strings(up)]
-        new = [
-            (r, tuple(sorted(itertools.compress(rk, b))), tuple(sorted(itertools.compress(rk, a))))
-            for r, b, a in zip(rk, below, above)
-        ]
-        if len(set(new)) == len(set(key)):
+        size = Counter(rk)
+        new = [(r,) if size[r] == 1 else (r, _ranks_in(rk, down[i]), _ranks_in(rk, up[i])) for i, r in enumerate(rk)]
+        if len(set(new)) == len(ranks):
             return rk
         key = new
 

@@ -243,6 +243,55 @@ def test_deep_terms_render_without_deep_recursion():
     assert p.elems[-1] == "up(" * 300 + "*" + ")" * 300 and p.bottom == "lift-bottom"
 
 
+def _transpose(up) -> tuple[int, ...]:
+    """The down rows of `up`, bit by bit: bit i of row j iff bit j of up[i]."""
+    n = len(up)
+    return tuple(sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n))
+
+
+@st.composite
+def row_terms(draw, depth=3):
+    """A lift/sum/prod term nested up to `depth` deep over two pointed
+    posets a, b and an unpointed one, which sums pass over."""
+    leaves = [
+        draw(small_posets(max_size=3, pointed=True)),
+        draw(small_posets(max_size=3, pointed=True)),
+        draw(small_posets(max_size=3)),
+    ]
+
+    def term(d):
+        if d == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(leaves))
+        op = draw(st.sampled_from(["lift", "sum", "prod"]))
+        p = term(d - 1)
+        if op == "lift":
+            return lift(p)
+        q = term(d - 1)
+        if op == "sum" and p.is_pointed and q.is_pointed:
+            return coproduct(p, q)
+        # a product of products of products grows fast; past 256 elements lift instead
+        return product(p, q) if len(p) * len(q) <= 256 else lift(p)
+
+    return term(depth)
+
+
+@given(row_terms())
+@settings(max_examples=200, deadline=None)
+def test_constructed_down_rows_are_the_transpose(p):
+    assert p.down == _transpose(p.up)
+
+
+def test_deep_down_rows_without_deep_recursion():
+    # a fresh point, so no stage has down rows before the last one's are read
+    p = FinPoset(("deep-down-point",), (1,), 0)
+    stages = [p]
+    for _ in range(600):
+        stages.append(lift(stages[-1]))
+    assert not any("down" in vars(q) for q in stages)
+    last = stages[-1]
+    assert last.down == _transpose(last.up)
+
+
 #: user names over the characters a constructed name is built from; from
 #: "a" and "," alone, products and function spaces would collide unescaped
 reserved_names = st.text(alphabet="a,", max_size=3) | st.text(alphabet="ab\\(),{}:", max_size=4)
@@ -758,6 +807,50 @@ def test_refine_ranks_matches_unshortened_loop(seed):
     rng = random.Random(seed)
     for p in (random_poset(rng, 8), lift(random_poset(rng, 4, pointed=True)), antichain(rng.randint(1, 4))):
         assert _refine_ranks(p) == _refine_ranks_unshortened(p)
+
+
+def _refine_ranks_all_elements(p):
+    """The refinement loop as it was before singleton classes were skipped:
+    every round builds the below and above ranks of every element.  It
+    transposes `up` itself rather than read `p.down`."""
+    from epsolve.finposet import _bit_strings
+
+    flags = bytes.maketrans(b"01", b"\x00\x01")
+    n = len(p)
+    bot = -1 if p.bot is None else p.bot
+    up, down = p.up, _transpose(p.up)
+    key = [(down[i].bit_count(), up[i].bit_count(), i == bot) for i in range(n)]
+    below = [b.encode().translate(flags) for b in _bit_strings(down)]
+    above = [b.encode().translate(flags) for b in _bit_strings(up)]
+    while True:
+        ranks = {k: r for r, k in enumerate(sorted(set(key)))}
+        rk = [ranks[k] for k in key]
+        if len(ranks) == n:
+            return rk
+        new = [
+            (r, tuple(sorted(itertools.compress(rk, b))), tuple(sorted(itertools.compress(rk, a))))
+            for r, b, a in zip(rk, below, above)
+        ]
+        if len(set(new)) == len(set(key)):
+            return rk
+        key = new
+
+
+@given(small_posets(max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_refine_ranks_match_the_all_elements_loop(p):
+    from epsolve.finposet import _refine_ranks
+
+    assert _refine_ranks(p) == _refine_ranks_all_elements(p)
+
+
+def test_refine_ranks_match_the_all_elements_loop_on_symmetric_shapes():
+    from epsolve.finposet import _refine_ranks
+
+    shapes = [flat(2), diamond(), chain_poset(2), chain_poset(3)]
+    for x, y in itertools.product(shapes, repeat=2):
+        for p in (product(x, y), coproduct(x, y), lift(product(x, y)), coproduct(product(x, y), product(y, x))):
+            assert _refine_ranks(p) == _refine_ranks_all_elements(p)
 
 
 # ---------------------------------------------------------------------------
