@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .chains import OmegaChain, check_local_determination, thread_approximant
 from .errors import CapExceeded
@@ -215,16 +215,8 @@ class RunReport:
     theorem_suite: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "equation": self.equation,
-            "depth": self.depth,
-            "seed": self.seed,
-            "stages": self.stages,
-            "stabilized_at": self.stabilized_at,
-            "ld": self.ld,
-            "defect_matrix": self.defect_matrix,
-            "theorem_suite": self.theorem_suite,
-        }
+        # every field is JSON already; asdict would deep-copy the defect matrix
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def solve_report(spec: EquationSpec, seed: int | None = None) -> RunReport:

@@ -15,7 +15,7 @@ from itertools import compress
 
 from .errors import CapExceeded, InvalidPoset, NotPointed, ShapeMismatch, WitnessError
 
-#: ceiling on monotone-map enumerations for callers that set no cap
+#: ceiling on monotone-map and pair enumerations for callers that set no cap
 HARD_ENUM_LIMIT = 100_000
 
 #: the element cap: largest poset a functor application or function space
@@ -94,8 +94,12 @@ class FinPoset(metaclass=Interned):
     def elems(self) -> tuple[str, ...]:
         if not _is_term(self.names):
             return self.names
-        _children_first(self, "elems")
-        return _render(self.names)
+        made = _children_first(self, "elems")
+        names = _render(self.names)
+        # the subterms' names were needed only to build these: keep none of them
+        for q in made:
+            vars(q).pop("elems", None)
+        return names
 
     @property
     def bottom(self) -> str | None:
@@ -142,17 +146,19 @@ def _pending(p: FinPoset, attr: str) -> list[FinPoset]:
     return [q for q in p.names[1:3] if _is_term(q.names) and attr not in vars(q)]
 
 
-def _children_first(p: FinPoset, attr: str) -> None:
+def _children_first(p: FinPoset, attr: str) -> list[FinPoset]:
     """Compute the cached `attr` of every constructed poset in p's term that
     lacks it, children before parents, so that a stage nested as deep as a
-    long solve needs no deep recursion."""
-    todo = _pending(p, attr)
+    long solve needs no deep recursion; return those posets."""
+    todo, made = _pending(p, attr), []
     while todo:
         kids = _pending(todo[-1], attr)
         if kids:
             todo += kids
         else:
-            getattr(todo.pop(), attr)
+            made.append(todo.pop())
+            getattr(made[-1], attr)
+    return made
 
 
 def _term_rows(term: tuple, side: str) -> tuple[int, ...]:
@@ -415,29 +421,19 @@ def lift(p: FinPoset) -> FinPoset:
     return FinPoset(term, _term_rows(term, "up"), 0)
 
 
-def _walk(p: FinPoset, q: FinPoset, cap: int, embed: bool) -> tuple[MonotoneMap, ...]:
-    """The monotone maps p -> q, or with `embed` the order embeddings
-    (f(i) <= f(j) iff i <= j), in table-lexicographic order; CapExceeded as
-    soon as a (cap+1)-th is found.  Position i's candidates are cut by one
-    row of q per earlier position j, picked by how i and j compare in p."""
+@cache
+def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple[MonotoneMap, ...]:
+    """All monotone maps p -> q in a fixed (table-lexicographic) order;
+    CapExceeded as soon as a (cap+1)-th map is found.  Position i's
+    candidates are cut by q's up row of each earlier position below i and
+    q's down row of each earlier position above it."""
     n, m = len(p), len(q)
     if n == 0:
         return (MonotoneMap(p, q, ()),)
-    full = (1 << m) - 1
-    if embed:
-        # strictly above, strictly below, incomparable: none holds v itself,
-        # so an embedding is injective
-        ge = [u & ~d for u, d in zip(q.up, q.down)]
-        le = [d & ~u for u, d in zip(q.up, q.down)]
-        apart = [full & ~(u | d) for u, d in zip(q.up, q.down)]
-    else:
-        ge, le = q.up, q.down
-    # the earlier positions below, above and (for embeddings) unrelated to i
+    full, qup, qdown = (1 << m) - 1, q.up, q.down
     earlier = [(1 << i) - 1 for i in range(n)]
     below = [_ones(row & e) for row, e in zip(p.down, earlier)]
     above = [_ones(row & e) for row, e in zip(p.up, earlier)]
-    if embed:
-        unrelated = [_ones(e & ~(d | u)) for d, u, e in zip(p.down, p.up, earlier)]
     out: list[MonotoneMap] = []
     tab = [0] * n
 
@@ -445,36 +441,19 @@ def _walk(p: FinPoset, q: FinPoset, cap: int, embed: bool) -> tuple[MonotoneMap,
         if i == n:
             out.append(MonotoneMap(p, q, tuple(tab)))
             if len(out) > cap:
-                what = "order embeddings" if embed else "monotone maps"
-                raise CapExceeded(f"more than {cap} {what} from {n} to {m} elements")
+                raise CapExceeded(f"more than {cap} monotone maps from {n} to {m} elements")
             return
         cands = full
         for j in below[i]:
-            cands &= ge[tab[j]]
+            cands &= qup[tab[j]]
         for j in above[i]:
-            cands &= le[tab[j]]
-        if embed:
-            for j in unrelated[i]:
-                cands &= apart[tab[j]]
+            cands &= qdown[tab[j]]
         for v in _ones(cands):
             tab[i] = v
             rec(i + 1)
 
     rec(0)
     return tuple(out)
-
-
-@cache
-def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple[MonotoneMap, ...]:
-    """All monotone maps p -> q in a fixed (table-lexicographic) order;
-    CapExceeded as soon as a (cap+1)-th map is found."""
-    return _walk(p, q, cap, embed=False)
-
-
-def order_embeddings(p: FinPoset, q: FinPoset) -> tuple[MonotoneMap, ...]:
-    """The monotone maps p -> q that also reflect the order, in the order
-    `monotone_maps` lists them; CapExceeded past HARD_ENUM_LIMIT embeddings."""
-    return _walk(p, q, HARD_ENUM_LIMIT, embed=True)
 
 
 @cache

@@ -11,6 +11,7 @@ from functools import cache
 
 from .errors import CapExceeded, InvalidPair, ShapeMismatch
 from .finposet import (
+    HARD_ENUM_LIMIT,
     FinPoset,
     Interned,
     MonotoneMap,
@@ -19,8 +20,6 @@ from .finposet import (
     leq_map,
     map_from_json,
     map_to_json,
-    monotone_maps,
-    order_embeddings,
 )
 
 DEFAULT_PAIR_CAP = 64
@@ -120,7 +119,7 @@ def pair_inverse(f: PairHom) -> PairHom:
 
 def bottom_inclusion_pair(pt: FinPoset, q: FinPoset, kind: Kind = Kind.EP) -> PairHom:
     """The unique pair from the one-point poset into a pointed poset:
-    embed at bottom, project to the point."""
+    send the point to the bottom, project to the point."""
     if len(pt) != 1:
         raise ShapeMismatch("bottom_inclusion_pair: source must be the one-point poset")
     if not q.is_pointed:
@@ -130,7 +129,8 @@ def bottom_inclusion_pair(pt: FinPoset, q: FinPoset, kind: Kind = Kind.EP) -> Pa
 
 def derived_right_leg(l: MonotoneMap) -> MonotoneMap | None:
     """The only possible right leg for l, for either kind: both pair notions
-    make (l, r) a Galois connection, forcing r(b) = max {a : l(a) <= b}."""
+    make (l, r) a Galois connection, forcing r(b) = max {a : l(a) <= b}.
+    `enumerate_pairs` reads r off its walk instead; this is its oracle."""
     a_down, b_down = l.dom.down, l.cod.down
     table = []
     for below in b_down:
@@ -147,22 +147,50 @@ def derived_right_leg(l: MonotoneMap) -> MonotoneMap | None:
 def enumerate_pairs(
     a: FinPoset, b: FinPoset, kind: Kind = Kind.EP, cap: int = DEFAULT_PAIR_CAP
 ) -> tuple[PairHom, ...]:
-    """All valid pairs a -> b of the given kind, ordered by left-leg table.
+    """All valid pairs a -> b of the given kind, ordered by left-leg table;
+    CapExceeded past HARD_ENUM_LIMIT pairs.
 
-    Each component determines the other, so only left legs are enumerated;
-    the derived right leg is then checked against the kind's invariant.  An
-    ep pair's left leg is an order embedding (r∘l = id makes it injective and
-    order-reflecting), so EP walks only the order embeddings; ADJ walks every
-    monotone map.
+    Both kinds are Galois connections, l(i) <= w iff i <= r(w); an ep pair
+    also has r∘l = id.  One walk fills l's table in order and keeps, for
+    each w in b, the mask rc[w] of the elements of a that can still be r(w):
+    l(i) = v keeps in rc[w] the elements above i if v <= w, else the rest,
+    and for EP rc[v] keeps only i.  A child is entered only if no mask is
+    empty; a valid pair's r(w) is never cut, so none is missed.  Monotonicity
+    needs no cut of its own: j <= i with l(j) not <= l(i) leaves in rc[l(i)]
+    only elements above i, hence above j, yet none above j.  At a leaf every
+    element of rc[w] has down-set {i : l(i) <= w}, so by antisymmetry rc[w]
+    holds r(w) alone.  The kind's check still validates every pair.
     """
-    if len(a) * len(b) > cap:
-        raise CapExceeded(f"enumerate_pairs: |A|*|B| = {len(a) * len(b)} > cap {cap}")
-    check = _CHECKS[kind]
-    out = []
-    for l in order_embeddings(a, b) if kind == Kind.EP else monotone_maps(a, b):
-        r = derived_right_leg(l)
-        if r is not None and check(l, r):
-            out.append(PairHom(kind, l, r))
+    n, m = len(a), len(b)
+    if n * m > cap:
+        raise CapExceeded(f"enumerate_pairs: |A|*|B| = {n * m} > cap {cap}")
+    check, ep = _CHECKS[kind], kind == Kind.EP
+    leq = [[bool(row >> w & 1) for w in range(m)] for row in b.up]  # leq[v][w]: v <= w in b
+    out: list[PairHom] = []
+    tab = [0] * n
+
+    def walk(i: int, rc: list[int]) -> None:
+        if i == n:
+            l = MonotoneMap(a, b, tuple(tab))
+            r = MonotoneMap(b, a, tuple(c.bit_length() - 1 for c in rc))
+            if check(l, r):
+                out.append(PairHom(kind, l, r))
+                if len(out) > HARD_ENUM_LIMIT:
+                    raise CapExceeded(f"more than {HARD_ENUM_LIMIT} {kind.value} pairs from {n} to {m} elements")
+            return
+        above, apart = a.up[i], ~a.up[i]
+        for v in range(m):
+            nxt = [c & (above if le else apart) for c, le in zip(rc, leq[v])]
+            if ep:
+                nxt[v] &= 1 << i
+            if all(nxt):
+                tab[i] = v
+                walk(i + 1, nxt)
+
+    # with a empty the masks start empty: no pair unless b is empty too
+    root = [(1 << n) - 1] * m
+    if all(root):
+        walk(0, root)
     return tuple(out)
 
 

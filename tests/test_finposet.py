@@ -38,7 +38,6 @@ from epsolve.finposet import (
     map_to_json,
     monotone_maps,
     one_point,
-    order_embeddings,
     poset_from_json,
     poset_to_json,
     product,
@@ -241,6 +240,19 @@ def test_deep_terms_render_without_deep_recursion():
     for _ in range(300):
         p = lift(p)
     assert p.elems[-1] == "up(" * 300 + "*" + ")" * 300 and p.bottom == "lift-bottom"
+
+
+def test_reading_names_keeps_no_subterm_names():
+    # a fresh point, so only the stage read below has names beforehand; the
+    # top is a sum of a stage with itself, so a subterm is reached twice
+    stages = [FinPoset(("names-point",), (1,), 0)]
+    for _ in range(300):
+        stages.append(lift(stages[-1]))
+    assert stages[100].elems[-1] == "up(" * 100 + "names-point" + ")" * 100
+    top = coproduct(stages[-1], stages[-1])
+    assert [i for i, q in enumerate(stages) if "elems" in vars(q)] == [100]
+    assert top.elems[-1] == "inr(" + "up(" * 300 + "names-point" + ")" * 301
+    assert [i for i, q in enumerate(stages) if "elems" in vars(q)] == [100]
 
 
 def _transpose(up) -> tuple[int, ...]:
@@ -560,24 +572,6 @@ def test_function_space_enumeration_stops_at_cap(monkeypatch):
     with pytest.raises(CapExceeded, match="more than 10 monotone maps"):
         function_space_maps(antichain(8), antichain(8), cap=10)
     assert len(built) == 11
-
-
-@given(small_posets(max_size=5), small_posets(max_size=5))
-@settings(max_examples=100, deadline=None)
-def test_order_embeddings_are_the_order_reflecting_monotone_maps(p, q):
-    def reflects(f):
-        t = f.table
-        return all(q.up[t[i]] >> t[j] & 1 == p.up[i] >> j & 1 for i in range(len(p)) for j in range(len(p)))
-
-    assert order_embeddings(p, q) == tuple(f for f in monotone_maps(p, q) if reflects(f))
-
-
-def test_order_embeddings_cap():
-    from epsolve.finposet import _walk
-
-    assert len(order_embeddings(antichain(3), antichain(4))) == 24
-    with pytest.raises(CapExceeded, match="more than 23 order embeddings from 3 to 4 elements"):
-        _walk(antichain(3), antichain(4), 23, True)
 
 
 @given(small_posets(max_size=4), small_posets(max_size=5))

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from epsolve.errors import CapExceeded, InvalidPair, ShapeMismatch
 from epsolve.finposet import (
+    FinPoset,
+    MonotoneMap,
+    antichain,
     chain_poset,
     const_map,
     diamond,
@@ -239,19 +242,65 @@ any_posets = st.booleans().flatmap(lambda pointed: small_posets(5, pointed))
 @given(any_posets, any_posets)
 @settings(max_examples=200, deadline=None)
 def test_enumerate_pairs_is_walk_and_filter_in_order(a, b):
-    # EP walks order embeddings only; the tuple, order included, is the
-    # filtered walk over every monotone map, so seeded draws from it hold
+    # one walk over left legs yields both kinds; the tuple, order included, is
+    # the filtered walk over every monotone map, so seeded draws from it hold
     for kind in Kind:
         assert enumerate_pairs(a, b, kind) == walk_and_filter(a, b, kind)
 
 
-def test_ep_enumeration_walks_no_monotone_maps():
-    # 3-chain into flat(6): 19 monotone maps, no order embedding
+def test_enumeration_builds_only_kept_pairs(monkeypatch):
+    # no monotone map walked, no right leg derived, two legs built per pair;
+    # 3-chain into flat(6): 19 monotone maps, no ep pair, 13 adjoint pairs
+    import epsolve.opairs as opairs
+
+    def no_derive(l):
+        raise AssertionError("derived_right_leg called")
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return MonotoneMap(*args)
+
+    for a, b in [(three(), flat(6)), (diamond(), diamond()), (two(), one_point()), (flat(2), three())]:
+        for kind in Kind:
+            enumerate_pairs.cache_clear()
+            monotone_maps.cache_clear()
+            built.clear()
+            monkeypatch.setattr(opairs, "derived_right_leg", no_derive)
+            monkeypatch.setattr(opairs, "MonotoneMap", counting)
+            got = enumerate_pairs(a, b, kind)
+            monkeypatch.undo()
+            assert monotone_maps.cache_info().misses == 0
+            assert len(built) == 2 * len(got)
+            assert got == walk_and_filter(a, b, kind)
+
+
+def test_enumeration_cap(monkeypatch):
+    import epsolve.opairs as opairs
+
     enumerate_pairs.cache_clear()
-    monotone_maps.cache_clear()
-    assert enumerate_pairs(three(), flat(6), Kind.EP) == ()
-    assert monotone_maps.cache_info().misses == 0
-    assert walk_and_filter(three(), flat(6), Kind.EP) == ()
+    monkeypatch.setattr(opairs, "HARD_ENUM_LIMIT", 5)
+    # the six permutations of a 3-antichain
+    with pytest.raises(CapExceeded, match="more than 5 ADJ pairs from 3 to 3 elements"):
+        enumerate_pairs(antichain(3), antichain(3), Kind.ADJ)
+    monkeypatch.setattr(opairs, "HARD_ENUM_LIMIT", 6)
+    assert len(enumerate_pairs(antichain(3), antichain(3), Kind.EP)) == 6
+
+
+def test_adjoint_enumeration_past_the_monotone_map_limit():
+    # 7^7 monotone maps pass HARD_ENUM_LIMIT; the 7! pairs do not
+    pairs = enumerate_pairs(antichain(7), antichain(7), Kind.ADJ)
+    assert len(pairs) == 5040 and all(is_iso_pair(f) for f in pairs)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_enumeration_of_empty_posets(kind):
+    # a leaf with an empty domain still needs a right-leg value for each b
+    empty = FinPoset((), ())
+    assert len(enumerate_pairs(empty, empty, kind)) == 1
+    assert enumerate_pairs(empty, one_point(), kind) == ()
+    assert enumerate_pairs(one_point(), empty, kind) == ()
 
 
 @given(st.integers(0, 10**6))
