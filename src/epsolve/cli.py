@@ -164,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="iterate an equation from the one-point poset")
     p.add_argument("equation")
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_int_at_least(0), default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", type=int, default=DEFAULT_ELEM_CAP)
+    p.add_argument("--max-size", type=_int_at_least(0), default=DEFAULT_ELEM_CAP)
     p.add_argument("--json", metavar="PATH", default=None)
     p.add_argument("--csv", metavar="PATH", default=None)
     p.set_defaults(func=cmd_solve)
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preserve", help="apply a functor to a cocone and recheck")
     p.add_argument("functor")
     p.add_argument("--cocone", metavar="PATH", required=True)
-    p.add_argument("--max-size", type=int, default=DEFAULT_ELEM_CAP)
+    p.add_argument("--max-size", type=_int_at_least(0), default=DEFAULT_ELEM_CAP)
     p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_preserve)
 

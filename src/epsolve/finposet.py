@@ -113,11 +113,13 @@ class FinPoset(metaclass=Interned):
     def down(self) -> tuple[int, ...]:
         """Down-set rows, the transpose of `up`: bit i of `down[j]` iff
         element i <= element j.  A lift, sum or product builds them from its
-        children's down rows; user-named posets and function spaces transpose."""
+        children's down rows; user-named posets and function spaces transpose,
+        column j of the joined bit strings being the slice from j in steps of n."""
         if _is_term(self.names) and self.names[0] != "fun":
             _children_first(self, "down")
             return _term_rows(self.names, "down")
-        return tuple(int("".join(col)[::-1], 2) for col in zip(*_bit_strings(self.up)))
+        n, full = len(self.up), "".join(_bit_strings(self.up))
+        return tuple(int(full[j::n][::-1], 2) for j in range(n))
 
     def __len__(self) -> int:
         return len(self.up)
@@ -607,11 +609,15 @@ class _Partition:
 
 
 def _matrix(rows: list[str], order) -> str:
-    """The relation matrix under `order`, read row by row.  One itemgetter
-    permutes the characters of every row's bit string, which beats testing
-    n^2 bits one at a time."""
-    columns = operator.itemgetter(*order)
-    return "".join(["".join(columns(rows[i])) for i in order])
+    """The relation matrix under `order`, read row by row.  In the joined
+    rows, the slice from j in steps of n is column j; joining the columns in
+    `order` gives the permuted matrix transposed, and the same slicing of
+    that, rows in `order`, gives it back untransposed: 2n slices, O(n)
+    Python steps for n^2 characters."""
+    n = len(order)
+    full = "".join(rows)
+    t = "".join([full[j::n] for j in order])
+    return "".join([t[a::n] for a in order])
 
 
 def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple[int, ...]]:
@@ -722,11 +728,26 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
     return best[2], best[0]
 
 
-@cache
+#: poset -> its canonical form and ordering; an entry dies with its poset
+_FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _canonical(p: FinPoset) -> tuple[str, tuple[int, ...]]:
-    """Canonical label and the witnessing element ordering: the relation
-    matrix, read row by row, under the ordering that the refined invariant
-    classes fix, or else under the least leaf of an
+    """Canonical label and the witnessing element ordering, kept while p
+    lives.  A lift whose child's form is known takes `_lifted`; any other
+    poset, and a lift whose child's form was never computed or met the cap,
+    is searched.  So no form recurses into its children, and a CapExceeded
+    names p's own size."""
+    form = _FORMS.get(p)
+    if form is None:
+        known = _FORMS.get(p.names[1]) if _is_term(p.names) and p.names[0] == "lift" else None
+        form = _FORMS[p] = _searched(p) if known is None else _lifted(*known)
+    return form
+
+
+def _searched(p: FinPoset) -> tuple[str, tuple[int, ...]]:
+    """The relation matrix, read row by row, under the ordering that the
+    refined invariant classes fix, or else under the least leaf of an
     individualization-refinement search.  Forms of the first kind start
     "P", of the second "IR", so the two never meet.  CapExceeded past
     CANONICAL_ORDER_CAP leaf orderings."""
@@ -735,12 +756,33 @@ def _canonical(p: FinPoset) -> tuple[str, tuple[int, ...]]:
     rows = _bit_strings(p.up)
     if len(set(rk)) == n:
         order = tuple(sorted(range(n), key=rk.__getitem__))
-        # itemgetter() takes at least one index; no elements, no rows to permute
-        prefix, bits = "P", _matrix(rows, order) if n else ""
+        prefix, bits = "P", _matrix(rows, order)
     else:
         prefix, (bits, order) = "IR", _least_leaf(p, rk, rows)
     bslot = -1 if p.bot is None else order.index(p.bot)
     return f"{prefix}{n};{bits};bot={bslot}", order
+
+
+def _lifted(form: str, order: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """The form and ordering that `_searched` gives lift(c), from c's.
+
+    The new bottom lies below every element, so its initial key (one
+    element in its down-set) is the unique least: a singleton class at
+    rank 0.  It is in every down-set and has every element in its up-set,
+    so it never splits another cell.  c's elements have one more element
+    below them and keep their order of keys (c's bottom flag, if any, sits
+    on the only element with a one-element down-set, so it breaks no tie),
+    hence c's ranks, refinement and individualization-refinement tree carry
+    over in order, one position on, with the same leaves pruned.  Every leaf
+    ordering of lift(c) is the bottom followed by a leaf ordering of c, and
+    its matrix string is the bottom's full row followed by "0" + row for
+    each row of c's string.  Those strings compare exactly as c's do, so
+    the least leaf is c's, shifted, the prefix is c's, and the bottom sits
+    in slot 0."""
+    head, bits, _ = form.split(";")
+    n = len(order)
+    rows = "".join(["0" + bits[i * n : i * n + n] for i in range(n)])
+    return f"{head.rstrip('0123456789')}{n + 1};{'1' * (n + 1)}{rows};bot=0", (0, *(o + 1 for o in order))
 
 
 def canonical_form(p: FinPoset) -> str:

@@ -119,7 +119,7 @@ def test_solve_canonical_form_cap_leaves_a_null_form(monkeypatch, tmp_path, caps
     import epsolve.finposet as finposet
 
     # forms are cached per poset; a cached one would never meet the cap
-    finposet._canonical.cache_clear()
+    finposet._FORMS.clear()
     monkeypatch.setattr(finposet, "CANONICAL_ORDER_CAP", 1)
     path = tmp_path / "r.json"
     assert main(["solve", "D = sum(D,D)", "--depth", "2", "--json", str(path)]) == 0
@@ -323,6 +323,24 @@ def test_verify_theorems_rejects_out_of_range_options(option, value, low, capsys
     assert err.splitlines()[-1] == (
         f"epsolve verify-theorems: error: argument {option}: must be at least {low}, got {value}"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "D = lift(D)", "--max-size", "-3"],
+        ["solve", "D = lift(D)", "--depth", "-1"],
+        ["preserve", "lift", "--cocone", "c.json", "--max-size", "-1"],
+    ],
+)
+def test_solve_and_preserve_reject_negative_options(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    option, value = argv[-2:]
+    assert err.splitlines()[-1] == f"epsolve {argv[0]}: error: argument {option}: must be at least 0, got {value}"
 
 
 def test_verify_theorems_smallest_options_run(capsys):

@@ -5,9 +5,10 @@ import gc
 import itertools
 import random
 import weakref
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsolve.errors import CapExceeded, InvalidPoset, NotPointed, ShapeMismatch, WitnessError
@@ -291,6 +292,15 @@ def row_terms(draw, depth=3):
 @settings(max_examples=200, deadline=None)
 def test_constructed_down_rows_are_the_transpose(p):
     assert p.down == _transpose(p.up)
+
+
+@given(small_posets(max_size=9), small_posets(max_size=3), small_posets(max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_sliced_down_rows_are_the_transpose(p, a, b):
+    """User-named posets and function spaces, whose down rows are sliced
+    from their up rows rather than built from a constructor term."""
+    for q in (p, function_space(a, b)):
+        assert q.down == _transpose(q.up)
 
 
 def test_deep_down_rows_without_deep_recursion():
@@ -764,6 +774,69 @@ def test_cycle_unions_of_one_size_get_distinct_forms():
 
 def test_empty_poset_form():
     assert canonical_form(FinPoset((), (), None)) == "P0;;bot=-1"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_strided_matrix_is_the_bitwise_permutation(n):
+    from epsolve.finposet import _matrix
+
+    rng = random.Random(n)
+    rows = ["".join(rng.choice("01") for _ in range(n)) for _ in range(n)]
+    for _ in range(5):
+        order = rng.sample(range(n), n)
+        assert _matrix(rows, order) == "".join(rows[i][j] for i in order for j in order)
+
+
+@given(oracle_posets())
+@example(FinPoset((), (), None))
+@settings(max_examples=150, deadline=None)
+def test_lift_forms_follow_from_the_childs_form(p):
+    """The lift rule against the search, on lifts and lifts of lifts of
+    random and symmetric posets: a lift whose child's form is known is not
+    searched, and a lift whose child's form was never computed is."""
+    from epsolve import finposet
+
+    tower = [p, lift(p), lift(lift(p))]
+    searched = [finposet._searched(q) for q in tower]
+    for q in tower:
+        finposet._FORMS.pop(q, None)
+    assert finposet._canonical(p) == searched[0]
+    with mock.patch.object(finposet, "_searched", side_effect=AssertionError("a lift was searched")):
+        assert [finposet._canonical(q) for q in tower[1:]] == searched[1:]
+    for q in tower:
+        finposet._FORMS.pop(q, None)
+    assert finposet._canonical(tower[2]) == searched[2]
+    assert tower[1] not in finposet._FORMS
+
+
+def test_a_lift_of_a_capped_search_is_searched(monkeypatch):
+    """Two sums of two points: the search's second leaf, the swap of the
+    summands, is past a cap of one.  A form that met the cap is not kept,
+    so the lift is searched and names its own size."""
+    from epsolve import finposet
+
+    point = FinPoset(("capped-lift-point",), (1,), 0)
+    q = coproduct(coproduct(point, point), coproduct(point, point))
+    monkeypatch.setattr(finposet, "CANONICAL_ORDER_CAP", 1)
+    with pytest.raises(CapExceeded, match="of a 7-element poset"):
+        canonical_form(q)
+    with pytest.raises(CapExceeded, match="of a 8-element poset"):
+        canonical_form(lift(q))
+    assert q not in finposet._FORMS and lift(q) not in finposet._FORMS
+    monkeypatch.undo()
+    assert canonical_form(lift(q)) == finposet._searched(lift(q))[0]
+
+
+def test_a_form_dies_with_its_poset():
+    from epsolve import finposet
+
+    p = make_poset(("form-dies-a", "form-dies-b"), [("form-dies-a", "form-dies-b")])
+    canonical_form(p)
+    assert p in finposet._FORMS
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
 
 
 def _refine_ranks_unshortened(p):
