@@ -38,14 +38,14 @@ def _print_stage_table(stages) -> None:
 
 
 def _load_cocone(path: str) -> Cocone:
-    """Read a cocone file.  JSON of the wrong shape or failing its checks
-    becomes a ValueError naming the file, reported by `main` as an input error."""
+    """Read a cocone file.  Text that is not JSON, and JSON of the wrong
+    shape or failing its checks, becomes a ValueError naming the file,
+    reported by `main` as an input error."""
     with open(path) as fh:
-        obj = json.load(fh)
-    try:
-        return cocone_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed cocone ({type(exc).__name__}: {exc})") from exc
+        try:
+            return cocone_from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ValueError(f"{path}: malformed cocone ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_solve(args) -> int:

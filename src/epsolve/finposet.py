@@ -6,7 +6,6 @@ are computed exactly from an explicit stabilization witness.
 """
 from __future__ import annotations
 
-import operator
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -623,35 +622,41 @@ def _matrix(rows: list[str], order) -> str:
 def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple[int, ...]]:
     """The least matrix string among the leaves of the
     individualization-refinement tree rooted at the partition `rk`, and the
-    leaf's ordering.
+    first leaf in depth-first order with that string.
 
-    Each node individualizes the elements of its first non-singleton cell
-    and refines.  A child in the orbit of a tried sibling, under the
-    automorphisms known so far that fix the node's path, is skipped: swaps
-    of twins (equal strict up- and down-sets) are known from the start, and
-    a leaf with the first or the best leaf's string gives one more.  Such a
-    leaf also sends the search back to the node where the two paths part,
-    since below it the leaf's branch mirrors one already searched."""
+    Each node individualizes the elements of its first non-singleton cell,
+    in `lab` order, and refines.  Two orderings give the same matrix string
+    exactly when mapping one onto the other, position by position, is an
+    automorphism; that is the one automorphism test, and each automorphism
+    found is kept as the points it moves.  Subtrees are skipped three ways:
+
+    - a child in the orbit of a tried sibling, under the automorphisms known
+      so far that fix the node's path (swaps of twins, with equal strict up-
+      and down-sets, are known from the start);
+    - a later child whose refined partition has the cell structure of the
+      node's first child and whose `lab` is the image of the first child's
+      under an automorphism (McKay & Piperno, "Practical graph isomorphism,
+      II", 2014).  That map fixes the node's path, where the two partitions
+      agree, and sends the first child to this one;
+    - the rest of the path under a leaf with the first or the best leaf's
+      string: back to the node where the two paths part, since below it the
+      leaf's branch mirrors one already searched.
+
+    The output is the one a search without skips would give.  Every
+    skipped subtree is the image, under an automorphism, of a subtree tried
+    earlier in depth-first order, so each of its leaves has an earlier leaf
+    with the same string.  The first least leaf in depth-first order is
+    therefore never skipped, and no later leaf replaces it, as a leaf
+    replaces the best only with a smaller string."""
     n = len(p)
     up, down = p.up, p.down
-    cols = _bit_strings(down)
     twin = [(u ^ 1 << v, d ^ 1 << v) for v, (u, d) in enumerate(zip(up, down))]
     gens: list[dict[int, int]] = []  # the points each automorphism moves, and where
     leaves = 0
     first = best = None  # (ordering, path, string)
 
-    def automorphism(src: tuple[int, ...], dst: tuple[int, ...]) -> dict[int, int] | None:
-        """The moves of src[i] -> dst[i] if it preserves the order, else None.
-        Only the rows and columns of the moved elements can differ."""
-        inv = [0] * n
-        for a, b in zip(src, dst):
-            inv[b] = a
-        image = operator.itemgetter(*inv)
-        moves = {a: b for a, b in zip(src, dst) if a != b}
-        for v, w in moves.items():
-            if "".join(image(rows[v])) != rows[w] or "".join(image(cols[v])) != cols[w]:
-                return None
-        return moves
+    def moves(src, dst) -> dict[int, int]:
+        return {a: b for a, b in zip(src, dst) if a != b}
 
     def leaf(order: tuple[int, ...], path: list[int]) -> int | None:
         """Compare a leaf with the first and the best; the level to back up to, or None."""
@@ -659,12 +664,11 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
         leaves += 1
         if leaves > CANONICAL_ORDER_CAP:
             raise CapExceeded(f"more than {CANONICAL_ORDER_CAP} leaf orderings of a {n}-element poset")
-        for seen in () if first is None else (first,) if best is first else (first, best):
-            g = automorphism(seen[0], order)
-            if g is not None:
-                gens.append(g)
-                return next((k for k, (a, b) in enumerate(zip(path, seen[1])) if a != b), len(path))
         bits = _matrix(rows, order)
+        for seen in () if first is None else (first,) if best is first else (first, best):
+            if bits == seen[2]:
+                gens.append(moves(seen[0], order))
+                return next((k for k, (a, b) in enumerate(zip(path, seen[1])) if a != b), len(path))
         if best is None or bits < best[2]:
             best = (order, path, bits)
         if first is None:
@@ -687,15 +691,16 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
     def node(part: _Partition, path: list[int], fixing: list[dict[int, int]]) -> list:
         t = min(part.loose)
         cell = part.lab[t : part.end[t]]
-        return [part, path, t, cell, iter(cell), [], None, fixing, len(gens)]
+        return [part, path, t, cell, iter(cell), [], None, fixing, len(gens), None]
 
     # depth-first, one stack entry per level of the current path; each entry
     # keeps the automorphisms that fix its path, how many it has looked at,
-    # and, once a second child is due, the orbits of its cell
+    # the orbits of its cell (once a second child is due) and the refined
+    # partition of its first child
     stack = [node(_Partition.from_ranks(rk), [], [])]
     while stack:
         frame = stack[-1]
-        part, path, t, cell, todo, tried, orbit, fixing, known = frame
+        part, path, t, cell, todo, tried, orbit, fixing, known, lead = frame
         if not tried:
             v = next(todo)
         else:
@@ -719,6 +724,12 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
         tried.append(v)
         child = part.copy()
         child.individualize(t, v, up, down)
+        if lead is None:
+            frame[9] = child
+        elif child.loose and child.end == lead.end and _matrix(rows, child.lab) == _matrix(rows, lead.lab):
+            # `end` fixes the cells, and so `loose`'s keys
+            gens.append(moves(lead.lab, child.lab))
+            continue
         if child.loose:
             stack.append(node(child, path + [v], [g for g in fixing if v not in g]))
         else:

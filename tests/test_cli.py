@@ -122,16 +122,16 @@ def test_solve_canonical_form_cap_leaves_a_null_form(monkeypatch, tmp_path, caps
     finposet._FORMS.clear()
     monkeypatch.setattr(finposet, "CANONICAL_ORDER_CAP", 1)
     path = tmp_path / "r.json"
-    assert main(["solve", "D = sum(D,D)", "--depth", "2", "--json", str(path)]) == 0
+    assert main(["solve", "D = prod(lift(D),lift(D))", "--depth", "2", "--json", str(path)]) == 0
     assert capsys.readouterr().err == ""
     stages = json.loads(path.read_text())["stages"]
-    assert [s["size"] for s in stages] == [1, 3, 7]
-    # the 3-element stage's two points are twins, so one leaf decides it; the
-    # 7-element stage's second leaf is the swap of its two summands
-    assert [s["canonical_form"][:3] for s in stages[:2]] == ["P1;", "IR3"]
+    assert [s["size"] for s in stages] == [1, 4, 25]
+    # the 4-element stage's two middle points are twins, so one leaf decides
+    # it; the 25-element stage needs a second leaf
+    assert [s["canonical_form"][:4] for s in stages[:2]] == ["P1;1", "IR4;"]
     assert not any("canonical_form_cap" in s for s in stages[:2])
     assert stages[2]["canonical_form"] is None
-    assert stages[2]["canonical_form_cap"] == "more than 1 leaf orderings of a 7-element poset"
+    assert stages[2]["canonical_form_cap"] == "more than 1 leaf orderings of a 25-element poset"
 
 
 @pytest.mark.parametrize(
@@ -197,6 +197,17 @@ def test_malformed_cocone_file_exit_2(subcommand, payload, tmp_path, capsys):
     assert main([*subcommand, "--cocone", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand", [["check-ld"], ["preserve", "lift(D)"]], ids=["check-ld", "preserve"])
+@pytest.mark.parametrize("text", ["", "{\"chain\": ", "not json"], ids=["empty", "truncated", "text"])
+def test_cocone_file_that_is_not_json_exit_2(subcommand, text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([*subcommand, "--cocone", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed cocone (JSONDecodeError: ")
     assert err.count("\n") == 1
 
 

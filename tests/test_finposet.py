@@ -3,6 +3,7 @@ interning."""
 import dataclasses
 import gc
 import itertools
+import operator
 import random
 import weakref
 from unittest import mock
@@ -810,17 +811,18 @@ def test_lift_forms_follow_from_the_childs_form(p):
 
 
 def test_a_lift_of_a_capped_search_is_searched(monkeypatch):
-    """Two sums of two points: the search's second leaf, the swap of the
-    summands, is past a cap of one.  A form that met the cap is not kept,
-    so the lift is searched and names its own size."""
+    """Two 4-cycles: the search needs a second leaf, past a cap of one.  A
+    form that met the cap is not kept, so the lift is searched and names its
+    own size."""
     from epsolve import finposet
 
-    point = FinPoset(("capped-lift-point",), (1,), 0)
-    q = coproduct(coproduct(point, point), coproduct(point, point))
+    q = cycle_incidence((4, 4))
+    for x in (q, lift(q)):  # a form cached by another test would never meet the cap
+        finposet._FORMS.pop(x, None)
     monkeypatch.setattr(finposet, "CANONICAL_ORDER_CAP", 1)
-    with pytest.raises(CapExceeded, match="of a 7-element poset"):
+    with pytest.raises(CapExceeded, match="of a 16-element poset"):
         canonical_form(q)
-    with pytest.raises(CapExceeded, match="of a 8-element poset"):
+    with pytest.raises(CapExceeded, match="of a 17-element poset"):
         canonical_form(lift(q))
     assert q not in finposet._FORMS and lift(q) not in finposet._FORMS
     monkeypatch.undo()
@@ -837,6 +839,175 @@ def test_a_form_dies_with_its_poset():
     del p
     gc.collect()
     assert ref() is None
+
+
+def _least_leaf_at_leaves(p, rk, rows):
+    """The search as it was before automorphisms were found at inner nodes:
+    only a leaf shows one, when mapping the first or the best leaf onto it
+    keeps the rows and columns of the elements it moves.  A later sibling
+    re-descends the rest of the path before its leaf shows the symmetry."""
+    from epsolve.finposet import _bit_strings, _matrix, _Partition
+
+    n = len(p)
+    up, down = p.up, p.down
+    cols = _bit_strings(down)
+    twin = [(u ^ 1 << v, d ^ 1 << v) for v, (u, d) in enumerate(zip(up, down))]
+    gens = []
+    first = best = None
+
+    def automorphism(src, dst):
+        inv = [0] * n
+        for a, b in zip(src, dst):
+            inv[b] = a
+        image = operator.itemgetter(*inv)
+        moves = {a: b for a, b in zip(src, dst) if a != b}
+        for v, w in moves.items():
+            if "".join(image(rows[v])) != rows[w] or "".join(image(cols[v])) != cols[w]:
+                return None
+        return moves
+
+    def leaf(order, path):
+        nonlocal first, best
+        for seen in () if first is None else (first,) if best is first else (first, best):
+            g = automorphism(seen[0], order)
+            if g is not None:
+                gens.append(g)
+                return next((k for k, (a, b) in enumerate(zip(path, seen[1])) if a != b), len(path))
+        bits = _matrix(rows, order)
+        if best is None or bits < best[2]:
+            best = (order, path, bits)
+        if first is None:
+            first = best
+        return None
+
+    def find(orbit, x):
+        while orbit[x] != x:
+            x = orbit[x]
+        return x
+
+    def join(orbit, g):
+        for x, y in g.items():
+            if x in orbit:
+                a, b = find(orbit, x), find(orbit, y)
+                if a != b:
+                    orbit[b] = a
+
+    def node(part, path, fixing):
+        t = min(part.loose)
+        cell = part.lab[t : part.end[t]]
+        return [part, path, t, cell, iter(cell), [], None, fixing, len(gens)]
+
+    stack = [node(_Partition.from_ranks(rk), [], [])]
+    while stack:
+        frame = stack[-1]
+        part, path, t, cell, todo, tried, orbit, fixing, known = frame
+        if not tried:
+            v = next(todo)
+        else:
+            if orbit is None:
+                rep = {}
+                orbit = frame[6] = {x: rep.setdefault(twin[x], x) for x in cell}
+                for g in fixing:
+                    join(orbit, g)
+            for g in gens[known:]:
+                if g.keys().isdisjoint(path):
+                    join(orbit, g)
+                    fixing.append(g)
+            frame[8] = len(gens)
+            done = {find(orbit, u) for u in tried}
+            for v in todo:
+                if find(orbit, v) not in done:
+                    break
+            else:
+                stack.pop()
+                continue
+        tried.append(v)
+        child = part.copy()
+        child.individualize(t, v, up, down)
+        if child.loose:
+            stack.append(node(child, path + [v], [g for g in fixing if v not in g]))
+        else:
+            back = leaf(tuple(child.lab), path + [v])
+            if back is not None:
+                del stack[back + 1 :]
+    return best[2], best[0]
+
+
+def assert_searched_as_at_leaves(p):
+    """`_searched` gives p the form and ordering it gives with the leaf-only search."""
+    from epsolve import finposet
+
+    with mock.patch.object(finposet, "_least_leaf", _least_leaf_at_leaves):
+        expected = finposet._searched(p)
+    assert finposet._searched(p) == expected
+
+
+@given(oracle_posets())
+@settings(max_examples=150, deadline=None)
+def test_node_automorphisms_keep_the_leaf_only_search_result(p):
+    assert_searched_as_at_leaves(p)
+    assert_searched_as_at_leaves(lift(p))
+    assert_searched_as_at_leaves(product(p, p))
+    if p.bot is not None:
+        assert_searched_as_at_leaves(coproduct(p, p))
+
+
+@pytest.mark.parametrize("lengths", [(4, 4), (6, 3, 3), (4, 4, 8), (5, 5, 10), (3, 4, 5, 12), (3, 3, 3, 3), (12,)])
+def test_node_automorphisms_keep_the_leaf_only_result_on_cycle_unions(lengths):
+    assert_searched_as_at_leaves(cycle_incidence(lengths))
+
+
+def srg_incidence(first, second) -> FinPoset:
+    """The vertices below the edges of two graphs on Z4 x Z4, picked from
+    the 4x4 rook's graph and the Shrikhande graph: both strongly regular
+    with parameters (16, 6, 2, 2), so a vertex of either, individualized,
+    refines to the same cell structure, though no automorphism maps one
+    graph onto the other."""
+    steps = {
+        "rook": {(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)},
+        "shrikhande": {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)},
+    }
+    cells = list(itertools.product(range(4), repeat=2))
+    elems, pairs = [], []
+    for g, name in enumerate((first, second)):
+        elems += [f"g{g}v{a}{b}" for a, b in cells]
+        for (a, b), (c, d) in itertools.combinations(cells, 2):
+            if ((c - a) % 4, (d - b) % 4) in steps[name]:
+                e = f"g{g}e{a}{b}{c}{d}"
+                elems.append(e)
+                pairs += [(f"g{g}v{a}{b}", e), (f"g{g}v{c}{d}", e)]
+    return make_poset(elems, pairs)
+
+
+@pytest.mark.parametrize("graphs", [("rook", "shrikhande"), ("shrikhande", "rook")])
+def test_node_automorphisms_keep_the_leaf_only_result_on_strongly_regular_graphs(graphs):
+    """Children with the first child's cell structure that are not its
+    image: skipping them without the automorphism test changes the form."""
+    assert_searched_as_at_leaves(srg_incidence(*graphs))
+
+
+@pytest.mark.parametrize("body,depth", [("sum(D,D)", 5), ("prod(prod(const(diamond),D),unit)", 4)])
+def test_node_automorphisms_keep_the_leaf_only_result_on_stages(body, depth):
+    from epsolve.equations import iterate, parse_equation
+
+    for p in iterate(parse_equation(f"D = {body}", depth=depth)).objects:
+        assert_searched_as_at_leaves(p)
+
+
+def test_binary_tree_stage_needs_few_individualizations(monkeypatch):
+    """sum(D,D)@7, 255 elements: each summand swap is found where the
+    summands' paths part, so the search does not re-descend the rest of the
+    path below it.  The leaf-only search individualizes 6 175 times."""
+    from epsolve import finposet
+    from epsolve.equations import iterate, parse_equation
+
+    p = iterate(parse_equation("D = sum(D,D)", depth=7)).objects[-1]
+    assert len(p) == 255
+    calls = []
+    individualize = finposet._Partition.individualize
+    monkeypatch.setattr(finposet._Partition, "individualize", lambda part, *a: calls.append(1) or individualize(part, *a))
+    finposet._searched(p)
+    assert len(calls) < 400
 
 
 def _refine_ranks_unshortened(p):
