@@ -424,24 +424,25 @@ def lift(p: FinPoset) -> FinPoset:
 
 @cache
 def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple[MonotoneMap, ...]:
-    """All monotone maps p -> q in a fixed (table-lexicographic) order;
-    CapExceeded as soon as a (cap+1)-th map is found.  Position i's
-    candidates are cut by q's up row of each earlier position below i and
-    q's down row of each earlier position above it."""
+    """All monotone maps p -> q in a fixed (table-lexicographic) order.
+    The walk collects tables and raises CapExceeded as soon as a (cap+1)-th
+    table is found, before any map is built; the maps are built only once
+    it ends within the cap.  Position i's candidates are cut by q's up row
+    of each earlier position below i and q's down row of each earlier
+    position above it, and taken from that mask one bit at a time.  An
+    empty p has one map, the empty table, which counts toward the cap too."""
     n, m = len(p), len(q)
-    if n == 0:
-        return (MonotoneMap(p, q, ()),)
     full, qup, qdown = (1 << m) - 1, q.up, q.down
     earlier = [(1 << i) - 1 for i in range(n)]
     below = [_ones(row & e) for row, e in zip(p.down, earlier)]
     above = [_ones(row & e) for row, e in zip(p.up, earlier)]
-    out: list[MonotoneMap] = []
+    tables: list[tuple[int, ...]] = []
     tab = [0] * n
 
     def rec(i: int) -> None:
         if i == n:
-            out.append(MonotoneMap(p, q, tuple(tab)))
-            if len(out) > cap:
+            tables.append(tuple(tab))
+            if len(tables) > cap:
                 raise CapExceeded(f"more than {cap} monotone maps from {n} to {m} elements")
             return
         cands = full
@@ -449,12 +450,14 @@ def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple
             cands &= qup[tab[j]]
         for j in above[i]:
             cands &= qdown[tab[j]]
-        for v in _ones(cands):
-            tab[i] = v
+        while cands:
+            low = cands & -cands
+            tab[i] = low.bit_length() - 1
             rec(i + 1)
+            cands ^= low
 
     rec(0)
-    return tuple(out)
+    return tuple(MonotoneMap(p, q, t) for t in tables)
 
 
 @cache

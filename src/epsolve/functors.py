@@ -20,8 +20,8 @@ from .errors import CapExceeded, ShapeMismatch
 from .finposet import (
     DEFAULT_ELEM_CAP,
     FinPoset,
+    Interned,
     MonotoneMap,
-    compose,
     coproduct,
     function_space_maps,
     identity,
@@ -33,19 +33,20 @@ from .finposet import (
 from .opairs import DEFAULT_PAIR_CAP, Kind, PairHom, _CHECKS, enumerate_pairs, pair_compose, pair_identity, pair_leq
 
 
-class FunctorExpr:
-    """Base class for functor syntax trees."""
+class FunctorExpr(metaclass=Interned):
+    """Base class for functor syntax trees.  Nodes are interned like posets,
+    so equal trees are one object and `==` and `hash` are identity."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Id(FunctorExpr):
     def __str__(self):
         return "D"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(FunctorExpr):
     poset: FinPoset
     name: str = "const"
@@ -54,7 +55,7 @@ class Const(FunctorExpr):
         return f"const({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lift(FunctorExpr):
     arg: FunctorExpr
 
@@ -62,7 +63,7 @@ class Lift(FunctorExpr):
         return f"lift({self.arg})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prod(FunctorExpr):
     fst: FunctorExpr
     snd: FunctorExpr
@@ -71,7 +72,7 @@ class Prod(FunctorExpr):
         return f"prod({self.fst},{self.snd})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(FunctorExpr):
     fst: FunctorExpr
     snd: FunctorExpr
@@ -80,7 +81,7 @@ class Sum(FunctorExpr):
         return f"sum({self.fst},{self.snd})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fun(FunctorExpr):
     """Function space; the first argument is contravariant."""
 
@@ -91,7 +92,7 @@ class Fun(FunctorExpr):
         return f"fun({self.arg},{self.res})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Compose(FunctorExpr):
     outer: FunctorExpr
     inner: FunctorExpr
@@ -187,10 +188,12 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
             dom_fs, dom_maps = function_space_maps(ga.src, gb.src, elem_cap)
             cod_fs, cod_maps = function_space_maps(ga.tgt, gb.tgt, elem_cap)
-            cod_pos = {m: i for i, m in enumerate(cod_maps)}
-            dom_pos = {m: i for i, m in enumerate(dom_maps)}
-            l_table = tuple(cod_pos[compose(gb.l, compose(h, ga.r))] for h in dom_maps)
-            r_table = tuple(dom_pos[compose(gb.r, compose(k, ga.l))] for k in cod_maps)
+            # on tables, (gb.l ∘ h ∘ ga.r)(x) = gb.l[h[ga.r[x]]], and dually for r
+            dom_pos = {m.table: i for i, m in enumerate(dom_maps)}
+            cod_pos = {m.table: i for i, m in enumerate(cod_maps)}
+            al, ar, bl, br = ga.l.table, ga.r.table, gb.l.table, gb.r.table
+            l_table = tuple(cod_pos[tuple(bl[h[x]] for x in ar)] for h in dom_pos)
+            r_table = tuple(dom_pos[tuple(br[k[x]] for x in al)] for k in cod_pos)
             out = PairHom(
                 f.kind,
                 MonotoneMap(dom_fs, cod_fs, l_table),

@@ -22,6 +22,7 @@ from .finposet import (
     map_to_json,
 )
 
+#: cap on the monotone maps a -> b that check_local_continuity enumerates
 DEFAULT_PAIR_CAP = 64
 
 
@@ -144,11 +145,10 @@ def derived_right_leg(l: MonotoneMap) -> MonotoneMap | None:
 
 
 @cache
-def enumerate_pairs(
-    a: FinPoset, b: FinPoset, kind: Kind = Kind.EP, cap: int = DEFAULT_PAIR_CAP
-) -> tuple[PairHom, ...]:
+def enumerate_pairs(a: FinPoset, b: FinPoset, kind: Kind = Kind.EP) -> tuple[PairHom, ...]:
     """All valid pairs a -> b of the given kind, ordered by left-leg table;
-    CapExceeded past HARD_ENUM_LIMIT pairs.
+    CapExceeded past HARD_ENUM_LIMIT pairs.  Posets of any size are walked:
+    the walk prunes on its own, and only kept pairs count toward the limit.
 
     Both kinds are Galois connections, l(i) <= w iff i <= r(w); an ep pair
     also has r∘l = id.  One walk fills l's table in order and keeps, for
@@ -162,8 +162,6 @@ def enumerate_pairs(
     holds r(w) alone.  The kind's check still validates every pair.
     """
     n, m = len(a), len(b)
-    if n * m > cap:
-        raise CapExceeded(f"enumerate_pairs: |A|*|B| = {n * m} > cap {cap}")
     check, ep = _CHECKS[kind], kind == Kind.EP
     leq = [[bool(row >> w & 1) for w in range(m)] for row in b.up]  # leq[v][w]: v <= w in b
     out: list[PairHom] = []

@@ -7,6 +7,7 @@ import pytest
 from epsolve.chains import cocone_to_json, colimit_finite
 from epsolve.cli import build_parser, main
 from epsolve.finposet import DEFAULT_ELEM_CAP
+from epsolve.opairs import enumerate_pairs
 from epsolve.suite import counterexample_cocone
 from tests.test_chains import n1_chain
 
@@ -87,6 +88,30 @@ def test_solve_function_space_cap_message_is_short(capsys):
     err = capsys.readouterr().err
     assert err.startswith("cap exceeded")
     assert len(err.encode()) < 200
+
+
+# the bodies of the benchmark's solve-wide workload that end at a cap at
+# depth 4, with the stage and hom-set or object each one stops at
+WIDE_CAP_EXITS = [
+    ("prod(D,prod(const(flat2),const(diamond)))", "stage 3: object of size 1728 exceeds cap 512"),
+    ("lift(fun(D,const(diamond)))", "stage 3: more than 512 monotone maps from 50 to 4 elements"),
+    ("lift(prod(D,D))", "stage 4: object of size 676 exceeds cap 512"),
+    ("fun(lift(D),prod(const(flat2),D))", "stage 2: more than 512 monotone maps from 6 to 15 elements"),
+    ("fun(D,sum(D,const(flat2)))", "stage 2: more than 512 monotone maps from 5 to 9 elements"),
+    ("fun(fun(const(flat2),const(diamond)),lift(D))", "stage 1: more than 512 monotone maps from 25 to 2 elements"),
+    (
+        "prod(prod(const(2-chain),D),prod(const(2-chain),const(flat2)))",
+        "stage 3: object of size 1728 exceeds cap 512",
+    ),
+    ("sum(fun(D,D),lift(const(flat2)))", "stage 2: more than 512 monotone maps from 6 to 6 elements"),
+    ("prod(fun(D,D),sum(D,const(2-chain)))", "stage 3: more than 512 monotone maps from 280 to 280 elements"),
+]
+
+
+@pytest.mark.parametrize("body,where", WIDE_CAP_EXITS, ids=[b for b, _ in WIDE_CAP_EXITS])
+def test_solve_cap_exits_stay_where_they_are(body, where, capsys):
+    assert main(["solve", f"D = {body}", "--depth", "4"]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == f"cap exceeded: cap exceeded at {where}"
 
 
 def test_solve_product_sized_before_it_is_built(monkeypatch, capsys):
@@ -313,12 +338,15 @@ def test_verify_theorems_small_run(tmp_path, capsys):
     assert all(r["passed"] for r in payload["results"])
 
 
-def test_verify_theorems_cap_hit_is_one_line(capsys):
-    # chains of up to 9-element posets ask enumerate_pairs for 81 > 64 pairs
-    assert main(["verify-theorems", "--max-size", "9", "--chains", "5"]) == 2
+def test_verify_theorems_cap_hit_is_one_line(monkeypatch, capsys):
+    import epsolve.opairs as opairs
+
+    # a cached hom-set would never meet the lowered limit
+    enumerate_pairs.cache_clear()
+    monkeypatch.setattr(opairs, "HARD_ENUM_LIMIT", 2)
+    assert main(["verify-theorems", "--chains", "5"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("cap exceeded: enumerate_pairs: ")
-    assert err.count("\n") == 1
+    assert err == "cap exceeded: more than 2 EP pairs from 3 to 4 elements\n"
 
 
 @pytest.mark.parametrize(

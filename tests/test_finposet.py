@@ -576,13 +576,28 @@ def test_function_space_enumeration_stops_at_cap(monkeypatch):
 
     def counting(*args):
         built.append(args)
-        assert len(built) <= 11, "enumeration ran past cap + 1 maps"
         return MonotoneMap(*args)
 
     monkeypatch.setattr(finposet, "MonotoneMap", counting)
-    with pytest.raises(CapExceeded, match="more than 10 monotone maps"):
+    # 8^8 = 16 777 216 maps: a walk that ran past the cap would not finish
+    with pytest.raises(CapExceeded, match=r"^more than 10 monotone maps from 8 to 8 elements$"):
         function_space_maps(antichain(8), antichain(8), cap=10)
-    assert len(built) == 11
+    assert built == [], "a cap exit built a map"
+    # a chain maps into an antichain by the 8 constants only: a cap of 8 holds
+    monotone_maps.cache_clear()
+    maps = monotone_maps(chain_poset(3), antichain(8), 8)
+    assert len(maps) == 8 and len(built) == len(maps)
+
+
+@given(small_posets(max_size=4), small_posets(max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_monotone_maps_order_and_every_cap(p, q):
+    tables = brute_force_monotone_tables(p, q)
+    assert [f.table for f in monotone_maps(p, q)] == sorted(tables)
+    for cap in range(len(tables)):
+        with pytest.raises(CapExceeded) as exc:
+            monotone_maps(p, q, cap)
+        assert str(exc.value) == f"more than {cap} monotone maps from {len(p)} to {len(q)} elements"
 
 
 @given(small_posets(max_size=4), small_posets(max_size=5))

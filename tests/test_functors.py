@@ -5,6 +5,8 @@ import pytest
 from epsolve.chains import colimit_finite
 from epsolve.errors import CapExceeded, NotPointed, ShapeMismatch
 from epsolve.finposet import (
+    DEFAULT_ELEM_CAP,
+    MonotoneMap,
     antichain,
     canonical_form,
     chain_poset,
@@ -14,6 +16,7 @@ from epsolve.finposet import (
     diamond,
     flat,
     function_space,
+    function_space_maps,
     identity,
     iso_check,
     lift,
@@ -39,6 +42,7 @@ from epsolve.functors import (
 )
 from epsolve.opairs import (
     Kind,
+    PairHom,
     bottom_inclusion_pair,
     enumerate_pairs,
     is_ep_pair,
@@ -151,6 +155,29 @@ def test_pair_action_builds_the_structural_objects(kind, cap):
             assert apply_obj(e, f.tgt, cap) is tgt
 
 
+def fun_by_composition(a, b, f, cap=DEFAULT_ELEM_CAP):
+    """Oracle for pr_apply_mor on Fun(a, b): each leg by composing maps,
+    h -> gb.l ∘ h ∘ ga.r and k -> gb.r ∘ k ∘ ga.l, looked up by map."""
+    ga, gb = pr_apply_mor(a, f, cap), pr_apply_mor(b, f, cap)
+    dom_fs, dom_maps = function_space_maps(ga.src, gb.src, cap)
+    cod_fs, cod_maps = function_space_maps(ga.tgt, gb.tgt, cap)
+    cod_pos = {m: i for i, m in enumerate(cod_maps)}
+    dom_pos = {m: i for i, m in enumerate(dom_maps)}
+    l_table = tuple(cod_pos[compose(gb.l, compose(h, ga.r))] for h in dom_maps)
+    r_table = tuple(dom_pos[compose(gb.r, compose(k, ga.l))] for k in cod_maps)
+    return PairHom(f.kind, MonotoneMap(dom_fs, cod_fs, l_table), MonotoneMap(cod_fs, dom_fs, r_table))
+
+
+@pytest.mark.parametrize("kind", [Kind.EP, Kind.ADJ])
+def test_fun_on_tables_matches_composition(kind):
+    args = (Id(), Const(two(), "2-chain"), Lift(Id()))
+    pairs = [f for a in ORACLE_POSETS for b in ORACLE_POSETS for f in enumerate_pairs(a, b, kind)]
+    for a in args:
+        for b in args:
+            for f in pairs:
+                assert pr_apply_mor(Fun(a, b), f) is fun_by_composition(a, b, f), (str(Fun(a, b)), f)
+
+
 def test_preserves_cocone_reads_objects_off_the_pairs(monkeypatch):
     import epsolve.functors as functors
 
@@ -166,6 +193,14 @@ def test_preserves_cocone_reads_objects_off_the_pairs(monkeypatch):
     assert calls == []
     assert res.image.chain.objects == (lift(one_point()), lift(two()))
     assert res.image.apex == lift(two())
+
+
+def test_functor_family_members_are_distinct():
+    family = functor_family(2, [(one_point(), "unit"), (two(), "2-chain")])
+    # interned nodes: equal trees would be one object, and print the same
+    assert len(set(family)) == len({str(e) for e in family}) == len(family) == 42
+    assert Const(two(), "2-chain") is Const(two(), name="2-chain")
+    assert Const(two()) is Const(two(), "const") is not Const(two(), "2-chain")
 
 
 def test_has_fun():
@@ -289,7 +324,7 @@ def test_pair_hom_order_is_discrete():
     for a in (two(), chain_poset(3), diamond()):
         for b in (two(), chain_poset(3), diamond()):
             for kind in (Kind.EP, Kind.ADJ):
-                pairs = enumerate_pairs(a, b, kind, cap=100)
+                pairs = enumerate_pairs(a, b, kind)
                 for f in pairs:
                     for g in pairs:
                         if pair_leq(f, g):

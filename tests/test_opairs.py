@@ -219,11 +219,6 @@ def test_adjoint_pair_into_smaller_poset_exists():
     assert enumerate_pairs(two(), one_point(), Kind.ADJ)
 
 
-def test_enumerate_pairs_cap():
-    with pytest.raises(CapExceeded):
-        enumerate_pairs(diamond(), diamond(), Kind.EP, cap=8)
-
-
 def walk_and_filter(a, b, kind):
     """Oracle for the order of enumerate_pairs: every monotone map a -> b
     as a left leg, kept when its derived right leg passes the kind's check."""
