@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
+from operator import ne
 
 from .errors import CapExceeded, InvalidPoset, NotPointed, ShapeMismatch, WitnessError
 
@@ -60,9 +61,10 @@ def _ones(mask: int) -> list[int]:
     """Positions of the set bits of `mask`, ascending."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -111,10 +113,10 @@ class FinPoset(metaclass=Interned):
     @cached_property
     def down(self) -> tuple[int, ...]:
         """Down-set rows, the transpose of `up`: bit i of `down[j]` iff
-        element i <= element j.  A lift, sum or product builds them from its
-        children's down rows; user-named posets and function spaces transpose,
-        column j of the joined bit strings being the slice from j in steps of n."""
-        if _is_term(self.names) and self.names[0] != "fun":
+        element i <= element j.  A constructed poset builds them from its
+        term, as it built `up`; a user-named poset transposes, column j of
+        the joined bit strings being the slice from j in steps of n."""
+        if _is_term(self.names):
             _children_first(self, "down")
             return _term_rows(self.names, "down")
         n, full = len(self.up), "".join(_bit_strings(self.up))
@@ -163,9 +165,26 @@ def _children_first(p: FinPoset, attr: str) -> list[FinPoset]:
 
 
 def _term_rows(term: tuple, side: str) -> tuple[int, ...]:
-    """The "up" or "down" rows of a lift, sum or prod term, from its
-    children's rows of the same side.  The fresh bottom of a lift or sum
-    lies below every element: its up row is full, and it is in every down row."""
+    """The "up" or "down" rows of a constructor term, from its children's
+    rows of the same side.  The fresh bottom of a lift or sum lies below
+    every element: its up row is full, and it is in every down row."""
+    if term[0] == "fun":
+        _, p, q, maps = term
+        # bit k of sends[a][u]: maps[k] sends a to u; bit k of reach[a][v]: maps[k]
+        # sends a to a value >= v (up) or <= v (down); f's row is the and of
+        # reach[a][f(a)] over the positions a
+        sends = [[0] * len(q) for _ in p.up]
+        for k, f in enumerate(maps):
+            for a, u in enumerate(f.table):
+                sends[a][u] |= 1 << k
+        reach = [[sum(at[u] for u in _ones(row)) for row in getattr(q, side)] for at in sends]
+        rows = []
+        for f in maps:
+            row = (1 << len(maps)) - 1
+            for a, v in enumerate(f.table):
+                row &= reach[a][v]
+            rows.append(row)
+        return tuple(rows)
     if term[0] == "prod":
         _, p, q = term
         nq = len(q)
@@ -467,21 +486,9 @@ def function_space_maps(
     """The poset of monotone maps p -> q together with the maps themselves,
     aligned index-for-index with the poset's elements; built once per (p, q, cap)."""
     maps = monotone_maps(p, q, cap)
-    # bit k of above[a][v] is set iff maps[k] sends a to a value >= v, so the
-    # up-set row of f is the and of above[a][f(a)] over the positions a
-    sends = [[0] * len(q) for _ in p.up]  # bit k of sends[a][u]: maps[k] sends a to u
-    for k, f in enumerate(maps):
-        for a, u in enumerate(f.table):
-            sends[a][u] |= 1 << k
-    above = [[sum(at[u] for u in _ones(row)) for row in q.up] for at in sends]
-    rows = []
-    for f in maps:
-        row = (1 << len(maps)) - 1
-        for a, v in enumerate(f.table):
-            row &= above[a][v]
-        rows.append(row)
+    term = ("fun", p, q, maps)
     bot = maps.index(MonotoneMap(p, q, (q.bot,) * len(p))) if q.is_pointed else None
-    return FinPoset(("fun", p, q, maps), tuple(rows), bot), maps
+    return FinPoset(term, _term_rows(term, "up"), bot), maps
 
 
 def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP) -> FinPoset:
@@ -494,11 +501,28 @@ def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP) -> Fin
 #: maps the characters of a bit string to bytes 0/1
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
+#: a row is sparse when its set bits, times this, are fewer than its length;
+#: `_ranks_in` lists a sparse row's bits instead of formatting all of them
+SPARSE_ROW = 8
+
+#: a refinement step finds the cells its splitter can cut from the set bits
+#: of the splitter's rows when they, times this, are fewer than the loose
+#: cells, and scans every loose cell otherwise
+SPARSE_HIT = 1
+
+#: the child test reads only the moved elements when they, times this, are
+#: fewer than the elements (so at 1, when one stays fixed); when all move,
+#: that reading is a whole `_matrix` string, and it compares two of those
+SPARSE_MOVES = 1
+
 
 def _ranks_in(rk: list[int], row: int) -> tuple[int, ...]:
-    """The sorted ranks of the elements in `row`, whose bits, as bytes 0/1,
-    select them from `rk`."""
-    return tuple(sorted(compress(rk, format(row, f"0{len(rk)}b")[::-1].encode().translate(_FLAGS))))
+    """The sorted ranks of the elements in `row`: read at its set bits when
+    the row is sparse, else selected from `rk` by its bits as bytes 0/1."""
+    n = len(rk)
+    if row.bit_count() * SPARSE_ROW < n:
+        return tuple(sorted([rk[j] for j in _ones(row)]))
+    return tuple(sorted(compress(rk, format(row, f"0{n}b")[::-1].encode().translate(_FLAGS))))
 
 
 def _refine_ranks(p: FinPoset) -> list[int]:
@@ -524,90 +548,138 @@ def _refine_ranks(p: FinPoset) -> list[int]:
 class _Partition:
     """An ordered partition of a poset's elements (McKay & Piperno, "Practical
     graph isomorphism, II", 2014): `lab` lists the elements cell by cell, a
-    cell is named by its first position, `end[s]` is where cell s stops, and
-    `loose` maps each non-singleton cell to the bit mask of its elements.
-    Every step depends on positions and counts only, never on element
-    labels, so isomorphic posets take isomorphic steps."""
+    cell is named by its first position, `end[s]` is where cell s stops,
+    `loose` maps each non-singleton cell to the bit mask of its elements, and
+    `cell[v]` names v's cell while that cell is loose (a singleton cell is
+    never cut, so its element need not be kept up to date).  Every step
+    depends on positions and counts only, never on element labels, so
+    isomorphic posets take isomorphic steps."""
 
-    __slots__ = ("lab", "end", "loose")
+    __slots__ = ("lab", "end", "loose", "cell")
 
-    def __init__(self, lab, end, loose):
-        self.lab, self.end, self.loose = lab, end, loose
+    def __init__(self, lab, end, loose, cell):
+        self.lab, self.end, self.loose, self.cell = lab, end, loose, cell
 
     @classmethod
     def from_ranks(cls, rk: list[int]) -> _Partition:
         """The classes of the ranks `rk`, in rank order."""
         n = len(rk)
         lab = sorted(range(n), key=rk.__getitem__)
-        end, loose, s = [0] * n, {}, 0
+        end, loose, cell, s = [0] * n, {}, [-1] * n, 0
         for i in range(1, n + 1):
             if i == n or rk[lab[i]] != rk[lab[s]]:
                 end[s] = i
                 if i - s > 1:
                     loose[s] = sum(1 << v for v in lab[s:i])
+                    for v in lab[s:i]:
+                        cell[v] = s
                 s = i
-        return cls(lab, end, loose)
+        return cls(lab, end, loose, cell)
 
     def copy(self) -> _Partition:
-        return _Partition(self.lab[:], self.end[:], self.loose.copy())
+        return _Partition(self.lab[:], self.end[:], self.loose.copy(), self.cell[:])
 
     def individualize(self, s: int, v: int, up, down) -> None:
         """Split v off the front of cell s, then refine to equitable."""
-        lab, end, loose = self.lab, self.end, self.loose
+        lab, end, loose, cell = self.lab, self.end, self.loose, self.cell
         i = lab.index(v, s)
         lab[s], lab[i] = v, lab[s]
         end[s + 1], end[s] = end[s], s + 1
         rest = loose.pop(s) & ~(1 << v)
         if end[s + 1] - s > 2:
             loose[s + 1] = rest
+            for u in lab[s + 1 : end[s + 1]]:
+                cell[u] = s + 1
         # the cell was equitable, so counts into its rest follow from counts into v
         self.refine([s], up, down)
+
+    def _touched(self, hit: int):
+        """The loose cells that hold an element of the mask `hit`, found from
+        its set bits when they are few (`SPARSE_HIT`); else all loose cells,
+        for the caller to test."""
+        loose = self.loose
+        if hit.bit_count() * SPARSE_HIT < len(loose):
+            return loose.keys() & set(map(self.cell.__getitem__, _ones(hit)))
+        return loose
+
+    def _split(self, t: int, masks: list[int], queue: list[int], pending: set[int]) -> None:
+        """Replace cell t by the fragments `masks`, in order, each listed
+        ascending, and queue them as splitters: all but the first largest
+        unless t was still queued.  The largest is listed from the cell, the
+        others from their bits."""
+        lab, end, loose, cell = self.lab, self.end, self.loose, self.cell
+        sizes = [m.bit_count() for m in masks]
+        largest = sizes.index(max(sizes))
+        frags = [[] if k == largest else _ones(m) for k, m in enumerate(masks)]
+        frags[largest] = sorted(set(lab[t : end[t]]).difference(*frags))
+        del loose[t]
+        starts, a = [], t
+        for frag, m in zip(frags, masks):
+            b = a + len(frag)
+            lab[a:b] = frag
+            end[a] = b
+            if b - a > 1:
+                loose[a] = m
+            if a != t:
+                for v in frag:
+                    cell[v] = a
+            starts.append(a)
+            a = b
+        new = starts[1:] if t in pending else starts[:largest] + starts[largest + 1 :]
+        queue.extend(new)
+        pending.update(new)
 
     def refine(self, queue: list[int], up, down) -> None:
         """Split cells by their up- and down-counts into each splitter cell
         until the partition is equitable.  A split cell's fragments become
-        splitters, all but the largest unless the cell was still queued."""
+        splitters, all but the largest unless the cell was still queued.
+
+        The counts are kept as bit slices over all elements, so a cell is
+        cut, and its fragments found, by masks: it is cut when a slice holds
+        some but not all of it, and only a cell that holds an element of
+        some slice can be.  Fragments come in order of (count of splitter
+        elements above, count below), each ascending."""
         lab, end, loose = self.lab, self.end, self.loose
-        base = len(lab) + 1
         pending = set(queue)
         k = 0
         while k < len(queue) and loose:
             s = queue[k]
             k += 1
             pending.discard(s)
-            if end[s] - s == 1:
-                # a single splitter x splits just the cells that x's down- or
-                # up-set cuts into two nonempty parts
-                x = lab[s]
-                w, below, above = 1 << x, down[x], up[x]
-                cut = [t for t, m in loose.items() if 0 != m & below != m or 0 != m & above != m]
-            else:
-                w, hit = loose[s], 0
-                for v in lab[s : end[s]]:
-                    hit |= up[v] | down[v]
-                cut = [t for t, m in loose.items() if m & hit]
+            w = lab[s : end[s]]
+            slices = _slices([down[v] for v in w]) + _slices([up[v] for v in w])
+            hit = 0
+            for m in slices:
+                hit |= m
+            cut = []
+            for t in self._touched(hit):
+                m = loose[t]
+                for c in slices:
+                    if 0 != m & c != m:
+                        cut.append(t)
+                        break
             for t in sorted(cut):
-                e = end[t]
-                keys = [(up[v] & w).bit_count() * base + (down[v] & w).bit_count() for v in lab[t:e]]
-                if min(keys) == max(keys):
-                    continue
-                ranked = sorted(zip(keys, lab[t:e]))
-                lab[t:e] = [v for _, v in ranked]
-                starts = [t] + [t + i for i in range(1, e - t) if ranked[i][0] != ranked[i - 1][0]]
-                stops = starts[1:] + [e]
-                del loose[t]
-                for a, b in zip(starts, stops):
-                    end[a] = b
-                    if b - a > 1:
-                        loose[a] = sum(1 << v for v in lab[a:b])
-                if t in pending:
-                    new = starts[1:]
-                else:
-                    sizes = [b - a for a, b in zip(starts, stops)]
-                    largest = sizes.index(max(sizes))
-                    new = starts[:largest] + starts[largest + 1 :]
-                queue.extend(new)
-                pending.update(new)
+                parts = [loose[t]]
+                for c in slices:
+                    parts = [f for m in parts for f in (m & ~c, m & c) if f]
+                self._split(t, parts, queue, pending)
+
+
+def _slices(rows: list[int]) -> list[int]:
+    """How many of `rows` hold each element, in binary, one mask per binary
+    digit, most significant first: bit v of the k-th mask from the end is
+    bit k of element v's count."""
+    out: list[int] = []
+    for row in rows:
+        i = 0
+        while row:
+            if i == len(out):
+                out.append(row)
+                break
+            out[i], row = out[i] ^ row, out[i] & row
+            i += 1
+    out.reverse()
+    return out
 
 
 def _matrix(rows: list[str], order) -> str:
@@ -622,6 +694,27 @@ def _matrix(rows: list[str], order) -> str:
     return "".join([t[a::n] for a in order])
 
 
+def _keeps_rows(up, down, rows: list[str], g: dict[int, int]) -> bool:
+    """Whether the permutation that sends each key of `g` to its value and
+    fixes every other element is an automorphism.  A pair of fixed elements
+    keeps its relation, so only pairs with a moved element are read: those
+    with a fixed one in the moved elements' up and down rows, as bits, and
+    those of two moved ones in the moved elements' bit strings `rows`, whose
+    columns at the moved elements, joined, are the transposed block of the
+    matrix between them (as in `_matrix`)."""
+    mask = 0
+    for a in g:
+        mask |= 1 << a
+    rest = ~mask
+    for a, b in g.items():
+        if (up[a] ^ up[b]) & rest or (down[a] ^ down[b]) & rest:
+            return False
+    n = len(rows)
+    src = "".join([rows[a] for a in g])
+    dst = "".join([rows[b] for b in g.values()])
+    return "".join([src[j::n] for j in g]) == "".join([dst[j::n] for j in g.values()])
+
+
 def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple[int, ...]]:
     """The least matrix string among the leaves of the
     individualization-refinement tree rooted at the partition `rk`, and the
@@ -630,8 +723,10 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
     Each node individualizes the elements of its first non-singleton cell,
     in `lab` order, and refines.  Two orderings give the same matrix string
     exactly when mapping one onto the other, position by position, is an
-    automorphism; that is the one automorphism test, and each automorphism
-    found is kept as the points it moves.  Subtrees are skipped three ways:
+    automorphism.  A leaf is tested that way; a child is tested on the
+    elements the map moves (`_keeps_rows`) when some element stays fixed,
+    and by the strings otherwise.  Each automorphism found is kept as
+    the points it moves.  Subtrees are skipped three ways:
 
     - a child in the orbit of a tried sibling, under the automorphisms known
       so far that fix the node's path (swaps of twins, with equal strict up-
@@ -659,7 +754,7 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
     first = best = None  # (ordering, path, string)
 
     def moves(src, dst) -> dict[int, int]:
-        return {a: b for a, b in zip(src, dst) if a != b}
+        return dict(compress(zip(src, dst), map(ne, src, dst)))
 
     def leaf(order: tuple[int, ...], path: list[int]) -> int | None:
         """Compare a leaf with the first and the best; the level to back up to, or None."""
@@ -729,10 +824,16 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
         child.individualize(t, v, up, down)
         if lead is None:
             frame[9] = child
-        elif child.loose and child.end == lead.end and _matrix(rows, child.lab) == _matrix(rows, lead.lab):
+        elif child.loose and child.end == lead.end:
             # `end` fixes the cells, and so `loose`'s keys
-            gens.append(moves(lead.lab, child.lab))
-            continue
+            g = moves(lead.lab, child.lab)
+            if len(g) * SPARSE_MOVES < n:
+                same = _keeps_rows(up, down, rows, g)
+            else:
+                same = _matrix(rows, child.lab) == _matrix(rows, lead.lab)
+            if same:
+                gens.append(g)
+                continue
         if child.loose:
             stack.append(node(child, path + [v], [g for g in fixing if v not in g]))
         else:

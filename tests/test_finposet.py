@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from benchmarks.workloads import WIDE_BODIES
 from epsolve.errors import CapExceeded, InvalidPoset, NotPointed, ShapeMismatch, WitnessError
 from epsolve.finposet import (
     FinPoset,
@@ -295,12 +296,20 @@ def test_constructed_down_rows_are_the_transpose(p):
     assert p.down == _transpose(p.up)
 
 
-@given(small_posets(max_size=9), small_posets(max_size=3), small_posets(max_size=3))
+@given(small_posets(max_size=9))
 @settings(max_examples=100, deadline=None)
-def test_sliced_down_rows_are_the_transpose(p, a, b):
-    """User-named posets and function spaces, whose down rows are sliced
-    from their up rows rather than built from a constructor term."""
-    for q in (p, function_space(a, b)):
+def test_sliced_down_rows_are_the_transpose(p):
+    """User-named posets, whose down rows are sliced from their up rows."""
+    assert p.down == _transpose(p.up)
+
+
+@given(small_posets(max_size=3), small_posets(max_size=3, pointed=True), small_posets(max_size=3, pointed=True))
+@settings(max_examples=100, deadline=None)
+def test_function_space_down_rows_are_the_transpose(a, b, c):
+    """A function space's down rows come from its maps, as its up rows do;
+    a lift, sum or product of one builds its own from them."""
+    fs = function_space(a, b)
+    for q in (fs, lift(fs), coproduct(fs, c), coproduct(c, fs), product(fs, c), product(c, fs)):
         assert q.down == _transpose(q.up)
 
 
@@ -856,12 +865,92 @@ def test_a_form_dies_with_its_poset():
     assert ref() is None
 
 
+class _ScanningPartition:
+    """The ordered partition as it was before refinement read the splitter's
+    rows: every splitter step scans every loose cell for the ones it cuts,
+    and a cut cell is sorted by (count above, count below, element).  The
+    reference for `finposet._Partition`, which must take the same steps."""
+
+    __slots__ = ("lab", "end", "loose")
+
+    def __init__(self, lab, end, loose):
+        self.lab, self.end, self.loose = lab, end, loose
+
+    @classmethod
+    def from_ranks(cls, rk):
+        n = len(rk)
+        lab = sorted(range(n), key=rk.__getitem__)
+        end, loose, s = [0] * n, {}, 0
+        for i in range(1, n + 1):
+            if i == n or rk[lab[i]] != rk[lab[s]]:
+                end[s] = i
+                if i - s > 1:
+                    loose[s] = sum(1 << v for v in lab[s:i])
+                s = i
+        return cls(lab, end, loose)
+
+    def copy(self):
+        return _ScanningPartition(self.lab[:], self.end[:], self.loose.copy())
+
+    def individualize(self, s, v, up, down):
+        lab, end, loose = self.lab, self.end, self.loose
+        i = lab.index(v, s)
+        lab[s], lab[i] = v, lab[s]
+        end[s + 1], end[s] = end[s], s + 1
+        rest = loose.pop(s) & ~(1 << v)
+        if end[s + 1] - s > 2:
+            loose[s + 1] = rest
+        self.refine([s], up, down)
+
+    def refine(self, queue, up, down):
+        lab, end, loose = self.lab, self.end, self.loose
+        base = len(lab) + 1
+        pending = set(queue)
+        k = 0
+        while k < len(queue) and loose:
+            s = queue[k]
+            k += 1
+            pending.discard(s)
+            if end[s] - s == 1:
+                x = lab[s]
+                w, below, above = 1 << x, down[x], up[x]
+                cut = [t for t, m in loose.items() if 0 != m & below != m or 0 != m & above != m]
+            else:
+                w, hit = loose[s], 0
+                for v in lab[s : end[s]]:
+                    hit |= up[v] | down[v]
+                cut = [t for t, m in loose.items() if m & hit]
+            for t in sorted(cut):
+                e = end[t]
+                keys = [(up[v] & w).bit_count() * base + (down[v] & w).bit_count() for v in lab[t:e]]
+                if min(keys) == max(keys):
+                    continue
+                ranked = sorted(zip(keys, lab[t:e]))
+                lab[t:e] = [v for _, v in ranked]
+                starts = [t] + [t + i for i in range(1, e - t) if ranked[i][0] != ranked[i - 1][0]]
+                stops = starts[1:] + [e]
+                del loose[t]
+                for a, b in zip(starts, stops):
+                    end[a] = b
+                    if b - a > 1:
+                        loose[a] = sum(1 << v for v in lab[a:b])
+                if t in pending:
+                    new = starts[1:]
+                else:
+                    sizes = [b - a for a, b in zip(starts, stops)]
+                    largest = sizes.index(max(sizes))
+                    new = starts[:largest] + starts[largest + 1 :]
+                queue.extend(new)
+                pending.update(new)
+
+
 def _least_leaf_at_leaves(p, rk, rows):
     """The search as it was before automorphisms were found at inner nodes:
     only a leaf shows one, when mapping the first or the best leaf onto it
     keeps the rows and columns of the elements it moves.  A later sibling
-    re-descends the rest of the path before its leaf shows the symmetry."""
-    from epsolve.finposet import _bit_strings, _matrix, _Partition
+    re-descends the rest of the path before its leaf shows the symmetry.
+    It refines with the scanning reference partition."""
+    from epsolve.finposet import _bit_strings, _matrix
 
     n = len(p)
     up, down = p.up, p.down
@@ -912,7 +1001,7 @@ def _least_leaf_at_leaves(p, rk, rows):
         cell = part.lab[t : part.end[t]]
         return [part, path, t, cell, iter(cell), [], None, fixing, len(gens)]
 
-    stack = [node(_Partition.from_ranks(rk), [], [])]
+    stack = [node(_ScanningPartition.from_ranks(rk), [], [])]
     while stack:
         frame = stack[-1]
         part, path, t, cell, todo, tried, orbit, fixing, known = frame
@@ -1025,6 +1114,203 @@ def test_binary_tree_stage_needs_few_individualizations(monkeypatch):
     assert len(calls) < 400
 
 
+#: a value for every sparse/dense threshold of the form search that forces
+#: each way: at 0 every step takes its sparse way, at 10**9 its dense way
+WAYS = {"sparse": 0, "dense": 10**9}
+
+
+def forced(way):
+    from epsolve import finposet
+
+    return mock.patch.multiple(finposet, SPARSE_ROW=WAYS[way], SPARSE_HIT=WAYS[way], SPARSE_MOVES=WAYS[way])
+
+
+def assert_cells_named(part):
+    """`cell` names the cell of every element of a non-singleton cell."""
+    for s in part.loose:
+        assert all(part.cell[v] == s for v in part.lab[s : part.end[s]])
+
+
+def assert_reference_steps(p):
+    """Forced either way, every individualization of the form search leaves
+    `lab`, `end` and `loose` as the scanning reference does, `cell` names
+    each element's cell, and the form and ordering are the leaf-only
+    oracle's.  Rank lists match the all-elements loop."""
+    from epsolve import finposet
+
+    individualize = finposet._Partition.individualize
+
+    def checked(part, s, v, up, down):
+        assert_cells_named(part)
+        ref = _ScanningPartition(part.lab[:], part.end[:], part.loose.copy())
+        individualize(part, s, v, up, down)
+        ref.individualize(s, v, up, down)
+        assert (part.lab, part.end, part.loose) == (ref.lab, ref.end, ref.loose)
+        assert_cells_named(part)
+
+    with mock.patch.object(finposet, "_least_leaf", _least_leaf_at_leaves):
+        expected = finposet._searched(p)
+    for way in WAYS:
+        with forced(way), mock.patch.object(finposet._Partition, "individualize", checked):
+            assert finposet._refine_ranks(p) == _refine_ranks_all_elements(p)
+            assert finposet._searched(p) == expected
+
+
+@given(oracle_posets())
+@settings(max_examples=100, deadline=None)
+def test_either_way_takes_the_reference_steps(p):
+    for q in (p, lift(p), product(p, p), product(p, antichain(2))):
+        assert_reference_steps(q)
+    if p.bot is not None:
+        assert_reference_steps(coproduct(p, p))
+
+
+def _stages_within_cap(body, depth):
+    """The stages of D = body up to `depth`, or up to the last one built
+    before a cap stops the chain."""
+    from epsolve.equations import iterate, parse_equation
+
+    for d in range(depth, -1, -1):
+        try:
+            return iterate(parse_equation(f"D = {body}", depth=d)).objects
+        except CapExceeded:
+            continue
+
+
+@pytest.mark.parametrize("body", sorted(set(WIDE_BODIES)))
+def test_solve_wide_stages_take_the_reference_steps(body):
+    for p in _stages_within_cap(body, 4):
+        assert_reference_steps(p)
+
+
+def _ranks_in_by_bytes(rk, row):
+    """The sorted ranks of the elements in `row`, whose bits, as bytes 0/1,
+    select them from `rk`: the dense way, the only one before sparse rows."""
+    flags = bytes.maketrans(b"01", b"\x00\x01")
+    return tuple(sorted(itertools.compress(rk, format(row, f"0{len(rk)}b")[::-1].encode().translate(flags))))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_rows_read_either_way_match_the_bytes(data):
+    from epsolve.finposet import _ranks_in
+
+    n = data.draw(st.integers(1, 300))
+    rk = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    bits = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    row = sum(1 << j for j in bits)
+    for way in WAYS:
+        with forced(way):
+            assert _ranks_in(rk, row) == _ranks_in_by_bytes(rk, row)
+
+
+def moved_rows_test(p, perm) -> bool:
+    """Whether mapping element i to perm[i] is an automorphism, by the
+    moved-rows test, which must agree with comparing `_matrix` strings."""
+    from epsolve.finposet import _bit_strings, _keeps_rows, _matrix
+
+    rows = _bit_strings(p.up)
+    kept = _keeps_rows(p.up, p.down, rows, {a: b for a, b in enumerate(perm) if a != b})
+    assert kept == (_matrix(rows, list(range(len(p)))) == _matrix(rows, list(perm)))
+    return kept
+
+
+@given(oracle_posets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_moved_rows_test_agrees_with_the_matrices(p, data):
+    """On random permutations, and on automorphisms: an isomorphism onto a
+    relabelled copy, followed by the relabelling undone."""
+    n = len(p)
+    moved_rows_test(p, data.draw(st.permutations(range(n))))
+    perm = data.draw(st.permutations(range(n)))
+    iso = iso_check(p, relabel(p, perm))
+    back = {b: a for a, b in enumerate(perm)}
+    assert moved_rows_test(p, [back[iso.table[i]] for i in range(n)])
+
+
+def _summand_swaps(p, at=0):
+    """Every swap of two equal summands in a nested sum, as a map of p's
+    positions offset by `at`."""
+    if len(p.names) != 3 or p.names[0] != "sum" or p.names[1] is not p.names[2]:
+        return []
+    k = len(p.names[1])
+    left, right = at + 1, at + 1 + k
+    swap = {left + i: right + i for i in range(k)} | {right + i: left + i for i in range(k)}
+    return [swap] + _summand_swaps(p.names[1], left) + _summand_swaps(p.names[1], right)
+
+
+def test_moved_rows_test_finds_summand_and_factor_swaps():
+    from epsolve.equations import iterate, parse_equation
+
+    p = iterate(parse_equation("D = sum(D,D)", depth=5)).objects[-1]
+    swaps = _summand_swaps(p)
+    assert len(p) == 63 and len(swaps) == 31
+    cases = [(p, [g.get(i, i) for i in range(len(p))]) for g in swaps]
+    d3 = product(product(diamond(), diamond()), diamond())
+    mirror = [0, 2, 1, 3]  # left <-> right in one diamond
+    for f in [
+        lambda x, y, z: (y, x, z),
+        lambda x, y, z: (x, z, y),
+        lambda x, y, z: (z, y, x),
+        lambda x, y, z: (mirror[x], y, z),
+    ]:
+        cases.append((d3, [x * 16 + y * 4 + z for x, y, z in itertools.starmap(f, itertools.product(range(4), repeat=3))]))
+    for q, perm in cases:
+        assert moved_rows_test(q, perm)
+        # the same map with two images exchanged: the tests agree on it too
+        perm[1], perm[-1] = perm[-1], perm[1]
+        moved_rows_test(q, perm)
+
+
+def test_child_tests_on_binary_tree_stages_build_no_matrix_string(monkeypatch):
+    """sum(D,D)@8, all stages: every child test reads the moved elements'
+    rows.  Built as two `_matrix` strings a test, they took 494 strings."""
+    import sys
+
+    from epsolve import finposet
+    from epsolve.equations import iterate, parse_equation
+
+    callers = []
+    matrix = finposet._matrix
+    monkeypatch.setattr(
+        finposet, "_matrix", lambda rows, order: callers.append(sys._getframe(1).f_code.co_name) or matrix(rows, order)
+    )
+    for p in iterate(parse_equation("D = sum(D,D)", depth=8)).objects:
+        finposet._searched(p)
+    assert "leaf" in callers and "_least_leaf" not in callers
+
+
+def test_refining_a_sparse_stage_reads_few_loose_cells(monkeypatch):
+    """The 481-element stage of solve-wide's
+    sum(prod(const(flat2),D),fun(const(2-chain),const(diamond)))@4, with
+    4.5 % of element pairs comparable.  Scanning every loose cell at each
+    splitter step, its search reads 68 184 loose cells' masks; found from the
+    splitter's rows, 7 992."""
+    from epsolve import finposet
+    from epsolve.equations import iterate, parse_equation
+
+    class Counting(dict):
+        reads = 0
+
+        def items(self):
+            Counting.reads += len(self)
+            return super().items()
+
+        def __getitem__(self, t):
+            Counting.reads += 1
+            return super().__getitem__(t)
+
+    body = "sum(prod(const(flat2),D),fun(const(2-chain),const(diamond)))"
+    p = iterate(parse_equation(f"D = {body}", depth=4)).objects[-1]
+    assert len(p) == 481
+    init = finposet._Partition.__init__
+    monkeypatch.setattr(
+        finposet._Partition, "__init__", lambda part, lab, end, loose, cell: init(part, lab, end, Counting(loose), cell)
+    )
+    finposet._searched(p)
+    assert Counting.reads < 67_928 // 4
+
+
 def _refine_ranks_unshortened(p):
     """Refinement that runs until the class count stops growing, with no
     early exit at a discrete partition; it reads the JSON matrix."""
@@ -1059,7 +1345,9 @@ def test_refine_ranks_matches_unshortened_loop(seed):
 
     rng = random.Random(seed)
     for p in (random_poset(rng, 8), lift(random_poset(rng, 4, pointed=True)), antichain(rng.randint(1, 4))):
-        assert _refine_ranks(p) == _refine_ranks_unshortened(p)
+        for way in WAYS:
+            with forced(way):
+                assert _refine_ranks(p) == _refine_ranks_unshortened(p)
 
 
 def _refine_ranks_all_elements(p):
