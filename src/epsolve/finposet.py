@@ -507,13 +507,9 @@ SPARSE_ROW = 8
 
 #: a refinement step finds the cells its splitter can cut from the set bits
 #: of the splitter's rows when they, times this, are fewer than the loose
-#: cells, and scans every loose cell otherwise
+#: cells, and scans every loose cell otherwise (when the bits are many, the
+#: scan is the cheaper way)
 SPARSE_HIT = 1
-
-#: the child test reads only the moved elements when they, times this, are
-#: fewer than the elements (so at 1, when one stays fixed); when all move,
-#: that reading is a whole `_matrix` string, and it compares two of those
-SPARSE_MOVES = 1
 
 
 def _ranks_in(rk: list[int], row: int) -> tuple[int, ...]:
@@ -551,13 +547,14 @@ class _Partition:
     cell is named by its first position, `end[s]` is where cell s stops,
     `loose` maps each non-singleton cell to the bit mask of its elements, and
     `cell[v]` names v's cell while that cell is loose (a singleton cell is
-    never cut, so its element need not be kept up to date).  Every step
-    depends on positions and counts only, never on element labels, so
-    isomorphic posets take isomorphic steps."""
+    never cut, so its element need not be kept up to date).  `cell` is None
+    until a splitter first looks cells up by element, and is kept from then
+    on.  Every step depends on positions and counts only, never on element
+    labels, so isomorphic posets take isomorphic steps."""
 
     __slots__ = ("lab", "end", "loose", "cell")
 
-    def __init__(self, lab, end, loose, cell):
+    def __init__(self, lab, end, loose, cell=None):
         self.lab, self.end, self.loose, self.cell = lab, end, loose, cell
 
     @classmethod
@@ -565,19 +562,18 @@ class _Partition:
         """The classes of the ranks `rk`, in rank order."""
         n = len(rk)
         lab = sorted(range(n), key=rk.__getitem__)
-        end, loose, cell, s = [0] * n, {}, [-1] * n, 0
+        end, loose, s = [0] * n, {}, 0
         for i in range(1, n + 1):
             if i == n or rk[lab[i]] != rk[lab[s]]:
                 end[s] = i
                 if i - s > 1:
                     loose[s] = sum(1 << v for v in lab[s:i])
-                    for v in lab[s:i]:
-                        cell[v] = s
                 s = i
-        return cls(lab, end, loose, cell)
+        return cls(lab, end, loose)
 
     def copy(self) -> _Partition:
-        return _Partition(self.lab[:], self.end[:], self.loose.copy(), self.cell[:])
+        cell = self.cell
+        return _Partition(self.lab[:], self.end[:], self.loose.copy(), None if cell is None else cell[:])
 
     def individualize(self, s: int, v: int, up, down) -> None:
         """Split v off the front of cell s, then refine to equitable."""
@@ -588,8 +584,9 @@ class _Partition:
         rest = loose.pop(s) & ~(1 << v)
         if end[s + 1] - s > 2:
             loose[s + 1] = rest
-            for u in lab[s + 1 : end[s + 1]]:
-                cell[u] = s + 1
+            if cell is not None:
+                for u in lab[s + 1 : end[s + 1]]:
+                    cell[u] = s + 1
         # the cell was equitable, so counts into its rest follow from counts into v
         self.refine([s], up, down)
 
@@ -599,7 +596,13 @@ class _Partition:
         for the caller to test."""
         loose = self.loose
         if hit.bit_count() * SPARSE_HIT < len(loose):
-            return loose.keys() & set(map(self.cell.__getitem__, _ones(hit)))
+            cell = self.cell
+            if cell is None:
+                cell = self.cell = [-1] * len(self.lab)
+                for t in loose:
+                    for v in self.lab[t : self.end[t]]:
+                        cell[v] = t
+            return loose.keys() & set(map(cell.__getitem__, _ones(hit)))
         return loose
 
     def _split(self, t: int, masks: list[int], queue: list[int], pending: set[int]) -> None:
@@ -620,7 +623,7 @@ class _Partition:
             end[a] = b
             if b - a > 1:
                 loose[a] = m
-            if a != t:
+            if a != t and cell is not None:
                 for v in frag:
                     cell[v] = a
             starts.append(a)
@@ -724,9 +727,8 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
     in `lab` order, and refines.  Two orderings give the same matrix string
     exactly when mapping one onto the other, position by position, is an
     automorphism.  A leaf is tested that way; a child is tested on the
-    elements the map moves (`_keeps_rows`) when some element stays fixed,
-    and by the strings otherwise.  Each automorphism found is kept as
-    the points it moves.  Subtrees are skipped three ways:
+    elements the map moves (`_keeps_rows`).  Each automorphism found is
+    kept as the points it moves.  Subtrees are skipped three ways:
 
     - a child in the orbit of a tried sibling, under the automorphisms known
       so far that fix the node's path (swaps of twins, with equal strict up-
@@ -827,11 +829,7 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
         elif child.loose and child.end == lead.end:
             # `end` fixes the cells, and so `loose`'s keys
             g = moves(lead.lab, child.lab)
-            if len(g) * SPARSE_MOVES < n:
-                same = _keeps_rows(up, down, rows, g)
-            else:
-                same = _matrix(rows, child.lab) == _matrix(rows, lead.lab)
-            if same:
+            if _keeps_rows(up, down, rows, g):
                 gens.append(g)
                 continue
         if child.loose:

@@ -1,5 +1,6 @@
 """Posets, monotone maps, witnessed lubs, constructions, canonical forms,
 interning."""
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -1115,27 +1116,34 @@ def test_binary_tree_stage_needs_few_individualizations(monkeypatch):
 
 
 #: a value for every sparse/dense threshold of the form search that forces
-#: each way: at 0 every step takes its sparse way, at 10**9 its dense way
-WAYS = {"sparse": 0, "dense": 10**9}
+#: each way: at 0 every step takes its sparse way, at 10**9 its dense way;
+#: None leaves the thresholds as set, so that one search mixes both ways
+WAYS = {"sparse": 0, "dense": 10**9, "as set": None}
 
 
 def forced(way):
     from epsolve import finposet
 
-    return mock.patch.multiple(finposet, SPARSE_ROW=WAYS[way], SPARSE_HIT=WAYS[way], SPARSE_MOVES=WAYS[way])
+    if WAYS[way] is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(finposet, SPARSE_ROW=WAYS[way], SPARSE_HIT=WAYS[way])
 
 
 def assert_cells_named(part):
-    """`cell` names the cell of every element of a non-singleton cell."""
+    """`cell`, once built, names the cell of every element of a
+    non-singleton cell."""
+    if part.cell is None:
+        return
     for s in part.loose:
         assert all(part.cell[v] == s for v in part.lab[s : part.end[s]])
 
 
 def assert_reference_steps(p):
-    """Forced either way, every individualization of the form search leaves
-    `lab`, `end` and `loose` as the scanning reference does, `cell` names
-    each element's cell, and the form and ordering are the leaf-only
-    oracle's.  Rank lists match the all-elements loop."""
+    """Forced either way, or with the thresholds as set, every
+    individualization of the form search leaves `lab`, `end` and `loose` as
+    the scanning reference does, `cell`, once built, names each element's
+    cell, and the form and ordering are the leaf-only oracle's.  Rank lists
+    match the all-elements loop."""
     from epsolve import finposet
 
     individualize = finposet._Partition.individualize
@@ -1305,7 +1313,7 @@ def test_refining_a_sparse_stage_reads_few_loose_cells(monkeypatch):
     assert len(p) == 481
     init = finposet._Partition.__init__
     monkeypatch.setattr(
-        finposet._Partition, "__init__", lambda part, lab, end, loose, cell: init(part, lab, end, Counting(loose), cell)
+        finposet._Partition, "__init__", lambda part, lab, end, loose, cell=None: init(part, lab, end, Counting(loose), cell)
     )
     finposet._searched(p)
     assert Counting.reads < 67_928 // 4
