@@ -18,7 +18,6 @@ from .chains import (
 )
 from .finposet import (
     FinPoset,
-    MapChain,
     MonotoneMap,
     canonical_form,
     compose,

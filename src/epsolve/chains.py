@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import ShapeMismatch, WitnessError
 from .finposet import (
     FinPoset,
-    MapChain,
     MonotoneMap,
     compose,
     identity,
@@ -167,7 +166,7 @@ def _apex_condition(k: Cocone) -> tuple[bool, tuple[int, ...]]:
     and each round trip's defect against that identity."""
     es = _round_trips(k)
     try:
-        lub = lub_map_chain(MapChain(tuple(es), _e_stab(k)))
+        lub = lub_map_chain(es, _e_stab(k))
     except WitnessError as exc:
         raise WitnessError(f"invalid cocone: {exc}") from exc
     ident = identity(k.apex)
@@ -200,7 +199,7 @@ def check_local_determination_adj(k: Cocone) -> LdReport:
             ts.append(compose(comp.r, comp.l))
         t_stab = min(max(stab - n, 0), len(ts) - 1)
         try:
-            inner_lub = lub_map_chain(MapChain(tuple(ts), t_stab))
+            inner_lub = lub_map_chain(ts, t_stab)
         except WitnessError as exc:
             raise WitnessError(f"invalid chain at stage {n}: {exc}") from exc
         if inner_lub != target:

@@ -213,6 +213,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError as exc:
+        # an equation or functor nested hundreds of levels deep
+        print(f"error: input nested too deeply ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

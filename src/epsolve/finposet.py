@@ -43,6 +43,8 @@ class Interned(type):
     "Type-safe modular hash-consing", 2006): constructing with equal fields
     returns the live instance, so `==` and `hash` are the inherited object
     identity.  The table holds instances weakly; an unreferenced one dies.
+    A class's `__post_init__` check runs only when an instance is built, and
+    one that raises leaves nothing in the table.
     Construction is not thread-safe: two threads could intern twins."""
 
     def __call__(cls, *args, **kwargs):
@@ -50,6 +52,7 @@ class Interned(type):
             # the dataclass __init__ binds keywords and fills in defaults
             obj = super().__call__(*args, **kwargs)
             args = tuple(getattr(obj, name) for name in cls.__match_args__)
+            return _INTERNED.setdefault((cls, *args), obj)
         key = (cls, *args)
         obj = _INTERNED.get(key)
         if obj is None:
@@ -390,30 +393,21 @@ def leq_map(f: MonotoneMap, g: MonotoneMap) -> bool:
 # ---------------------------------------------------------------------------
 # chains of maps with an explicit stabilization witness
 
-@dataclass(frozen=True)
-class MapChain:
-    terms: tuple[MonotoneMap, ...]
-    stab_index: int
-
-
-def validate_map_chain(c: MapChain) -> None:
-    if not c.terms:
+def lub_map_chain(terms: list[MonotoneMap], stab_index: int) -> MonotoneMap:
+    """Least upper bound of a witnessed eventually-constant chain: the terms
+    must increase and be constant from `stab_index` on, else WitnessError."""
+    if not terms:
         raise WitnessError("empty chain")
-    if not 0 <= c.stab_index < len(c.terms):
-        raise WitnessError(f"stab_index {c.stab_index} out of range")
-    for i in range(len(c.terms) - 1):
-        if not leq_map(c.terms[i], c.terms[i + 1]):
+    if not 0 <= stab_index < len(terms):
+        raise WitnessError(f"stab_index {stab_index} out of range")
+    for i in range(len(terms) - 1):
+        if not leq_map(terms[i], terms[i + 1]):
             raise WitnessError(f"chain not increasing at index {i}")
-    w = c.terms[c.stab_index]
-    for j in range(c.stab_index + 1, len(c.terms)):
-        if c.terms[j] != w:
+    w = terms[stab_index]
+    for j in range(stab_index + 1, len(terms)):
+        if terms[j] != w:
             raise WitnessError(f"stabilization witness fails at index {j}")
-
-
-def lub_map_chain(c: MapChain) -> MonotoneMap:
-    """Least upper bound of a witnessed eventually-constant chain."""
-    validate_map_chain(c)
-    return c.terms[c.stab_index]
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +442,10 @@ def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple
     table is found, before any map is built; the maps are built only once
     it ends within the cap.  Position i's candidates are cut by q's up row
     of each earlier position below i and q's down row of each earlier
-    position above it, and taken from that mask one bit at a time.  An
-    empty p has one map, the empty table, which counts toward the cap too."""
+    position above it, and taken from that mask one bit at a time; the walk
+    is a loop over a stack of the masks' untried bits, so p may have any
+    number of elements.  An empty p has one map, the empty table, which
+    counts toward the cap too."""
     n, m = len(p), len(q)
     full, qup, qdown = (1 << m) - 1, q.up, q.down
     earlier = [(1 << i) - 1 for i in range(n)]
@@ -457,26 +453,30 @@ def monotone_maps(p: FinPoset, q: FinPoset, cap: int = HARD_ENUM_LIMIT) -> tuple
     above = [_ones(row & e) for row, e in zip(p.up, earlier)]
     tables: list[tuple[int, ...]] = []
     tab = [0] * n
-
-    def rec(i: int) -> None:
-        if i == n:
+    left = [0] * n  # per position, the candidates not yet tried
+    i = 0
+    while True:
+        if i < n:
+            cands = full
+            for j in below[i]:
+                cands &= qup[tab[j]]
+            for j in above[i]:
+                cands &= qdown[tab[j]]
+        else:
             tables.append(tuple(tab))
             if len(tables) > cap:
                 raise CapExceeded(f"more than {cap} monotone maps from {n} to {m} elements")
-            return
-        cands = full
-        for j in below[i]:
-            cands &= qup[tab[j]]
-        for j in above[i]:
-            cands &= qdown[tab[j]]
-        while cands:
-            low = cands & -cands
-            tab[i] = low.bit_length() - 1
-            rec(i + 1)
-            cands ^= low
-
-    rec(0)
-    return tuple(MonotoneMap(p, q, t) for t in tables)
+            cands = 0
+        # back up to the deepest position with a candidate left
+        while not cands:
+            i -= 1
+            if i < 0:
+                return tuple(MonotoneMap(p, q, t) for t in tables)
+            cands = left[i]
+        low = cands & -cands
+        left[i] = cands ^ low
+        tab[i] = low.bit_length() - 1
+        i += 1
 
 
 @cache

@@ -30,7 +30,7 @@ from .finposet import (
     monotone_maps,
     product,
 )
-from .opairs import DEFAULT_PAIR_CAP, Kind, PairHom, _CHECKS, enumerate_pairs, pair_compose, pair_identity, pair_leq
+from .opairs import DEFAULT_PAIR_CAP, Kind, PairHom, enumerate_pairs, pair_compose, pair_identity, pair_leq
 
 
 class FunctorExpr(metaclass=Interned):
@@ -205,8 +205,6 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
             raise TypeError(f"unknown functor expression {e!r}")
     _check_size(len(out.src), elem_cap)
     _check_size(len(out.tgt), elem_cap)
-    if not _CHECKS[f.kind](out.l, out.r):
-        raise RuntimeError(f"combinator {e} produced an invalid {f.kind.value} pair")
     return out
 
 

@@ -59,9 +59,17 @@ _CHECKS = {Kind.EP: is_ep_pair, Kind.ADJ: is_adjoint_pair}
 
 @dataclass(frozen=True, eq=False)
 class PairHom(metaclass=Interned):
+    """A pair l: A -> B, r: B -> A of the given kind.  Construction checks
+    the kind's laws, so no invalid pair exists; interning runs the check
+    only when it builds an instance, so a live pair is not checked again."""
+
     kind: Kind
     l: MonotoneMap
     r: MonotoneMap
+
+    def __post_init__(self):
+        if not _CHECKS[self.kind](self.l, self.r):
+            raise InvalidPair(f"not a valid {self.kind.value} pair")
 
     @property
     def src(self) -> FinPoset:
@@ -70,12 +78,6 @@ class PairHom(metaclass=Interned):
     @property
     def tgt(self) -> FinPoset:
         return self.l.cod
-
-
-def make_pair(kind: Kind, l: MonotoneMap, r: MonotoneMap) -> PairHom:
-    if not _CHECKS[kind](l, r):
-        raise InvalidPair(f"not a valid {kind.value} pair")
-    return PairHom(kind, l, r)
 
 
 def pair_identity(p: FinPoset, kind: Kind = Kind.EP) -> PairHom:
@@ -90,10 +92,7 @@ def pair_compose(g: PairHom, f: PairHom) -> PairHom:
         raise ShapeMismatch("pair_compose: kind mismatch")
     if f.tgt != g.src:
         raise ShapeMismatch("pair_compose: tgt(f) != src(g)")
-    out = PairHom(f.kind, compose(g.l, f.l), compose(f.r, g.r))
-    # composition of valid pairs is valid; asserted as a runtime invariant
-    assert _CHECKS[out.kind](out.l, out.r)
-    return out
+    return PairHom(f.kind, compose(g.l, f.l), compose(f.r, g.r))
 
 
 def pair_leq(f: PairHom, g: PairHom) -> bool:
@@ -125,7 +124,7 @@ def bottom_inclusion_pair(pt: FinPoset, q: FinPoset, kind: Kind = Kind.EP) -> Pa
         raise ShapeMismatch("bottom_inclusion_pair: source must be the one-point poset")
     if not q.is_pointed:
         raise ShapeMismatch("bottom_inclusion_pair: target must be pointed")
-    return make_pair(kind, MonotoneMap(pt, q, (q.bot,)), MonotoneMap(q, pt, (0,) * len(q)))
+    return PairHom(kind, MonotoneMap(pt, q, (q.bot,)), MonotoneMap(q, pt, (0,) * len(q)))
 
 
 def derived_right_leg(l: MonotoneMap) -> MonotoneMap | None:
@@ -159,10 +158,11 @@ def enumerate_pairs(a: FinPoset, b: FinPoset, kind: Kind = Kind.EP) -> tuple[Pai
     needs no cut of its own: j <= i with l(j) not <= l(i) leaves in rc[l(i)]
     only elements above i, hence above j, yet none above j.  At a leaf every
     element of rc[w] has down-set {i : l(i) <= w}, so by antisymmetry rc[w]
-    holds r(w) alone.  The kind's check still validates every pair.
+    holds r(w) alone, so every leaf is a valid pair and needs no check of
+    its own beyond the one `PairHom` runs when it is first built.
     """
     n, m = len(a), len(b)
-    check, ep = _CHECKS[kind], kind == Kind.EP
+    ep = kind == Kind.EP
     leq = [[bool(row >> w & 1) for w in range(m)] for row in b.up]  # leq[v][w]: v <= w in b
     out: list[PairHom] = []
     tab = [0] * n
@@ -171,10 +171,9 @@ def enumerate_pairs(a: FinPoset, b: FinPoset, kind: Kind = Kind.EP) -> tuple[Pai
         if i == n:
             l = MonotoneMap(a, b, tuple(tab))
             r = MonotoneMap(b, a, tuple(c.bit_length() - 1 for c in rc))
-            if check(l, r):
-                out.append(PairHom(kind, l, r))
-                if len(out) > HARD_ENUM_LIMIT:
-                    raise CapExceeded(f"more than {HARD_ENUM_LIMIT} {kind.value} pairs from {n} to {m} elements")
+            out.append(PairHom(kind, l, r))
+            if len(out) > HARD_ENUM_LIMIT:
+                raise CapExceeded(f"more than {HARD_ENUM_LIMIT} {kind.value} pairs from {n} to {m} elements")
             return
         above, apart = a.up[i], ~a.up[i]
         for v in range(m):
@@ -198,4 +197,4 @@ def pair_to_json(f: PairHom) -> dict:
 
 def pair_from_json(obj: dict) -> PairHom:
     kind = Kind(obj["kind"])
-    return make_pair(kind, map_from_json(obj["l"]), map_from_json(obj["r"]))
+    return PairHom(kind, map_from_json(obj["l"]), map_from_json(obj["r"]))

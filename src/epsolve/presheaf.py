@@ -17,7 +17,6 @@ from .chains import Cocone, _e_stab, _round_trips
 from .errors import CapExceeded, InvalidCategory, ShapeMismatch
 from .finposet import (
     FinPoset,
-    MapChain,
     MonotoneMap,
     compose,
     function_space_maps,
@@ -261,9 +260,7 @@ def pointwise_lub(chain: list[NatTrans], stab_index: int) -> NatTrans:
     objs = chain[0].components.keys()
     comps = {}
     for a in objs:
-        comps[a] = lub_map_chain(
-            MapChain(tuple(t.components[a] for t in chain), stab_index)
-        )
+        comps[a] = lub_map_chain([t.components[a] for t in chain], stab_index)
     return NatTrans(comps)
 
 
@@ -278,7 +275,7 @@ def verify_proof_step(kctx: PosetOCategory, cocone: Cocone) -> bool:
 
     # left side: lub downstairs, then yoneda
     es = _round_trips(cocone)
-    lub = lub_map_chain(MapChain(tuple(es), stab))
+    lub = lub_map_chain(es, stab)
     left = yoneda_mor(k, apex_obj, apex_obj, kctx.token_of_map(apex_obj, apex_obj, lub))
 
     # right side: yoneda first, then the pointwise lub upstairs

@@ -20,7 +20,6 @@ from .chains import (
 from .errors import CapExceeded, NotPointed
 from .finposet import (
     FinPoset,
-    MapChain,
     antichain,
     chain_poset,
     compose,
@@ -320,7 +319,7 @@ def run_lub_cross_check(seed: int, cases: int = 50) -> PropertyResult:
             terms.append(rng.choice(ups))
         stab = len(terms) - 1
         terms.extend([terms[-1]] * rng.randint(0, 2))
-        got = lub_map_chain(MapChain(tuple(terms), stab))
+        got = lub_map_chain(terms, stab)
         # independent oracle: brute-force least upper bound over the hom-poset
         ubs = [u for u in hom if all(leq_map(t, u) for t in terms)]
         least = [u for u in ubs if all(leq_map(u, v) for v in ubs)]

@@ -66,6 +66,16 @@ def test_solve_syntax_error_exit_2(capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+def _nested_lifts(levels: int) -> str:
+    return "lift(" * levels + "D" + ")" * levels
+
+
+def test_solve_deeply_nested_equation_is_one_line(capsys):
+    assert main(["solve", f"D = {_nested_lifts(600)}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input nested too deeply (") and err.count("\n") == 1
+
+
 def test_solve_env_cap_override(capsys):
     assert main(["solve", "D = lift(D)", "--depth", "5", "--max-size", "3"]) == 2
     assert "cap exceeded" in capsys.readouterr().err
@@ -310,6 +320,14 @@ def test_preserve_identity_on_counterexample_exit_1(counterexample_path):
 
 def test_preserve_syntax_error_exit_2(counterexample_path):
     assert main(["preserve", "lift(", "--cocone", counterexample_path]) == 2
+
+
+def test_preserve_deeply_nested_functor_is_one_line(tmp_path, capsys):
+    # the functor is parsed before the cocone file is opened
+    missing = tmp_path / "missing.json"
+    assert main(["preserve", _nested_lifts(600), "--cocone", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input nested too deeply (") and err.count("\n") == 1
 
 
 def test_preserve_without_witness_is_one_line(tmp_path, capsys):

@@ -17,7 +17,6 @@ from benchmarks.workloads import WIDE_BODIES
 from epsolve.errors import CapExceeded, InvalidPoset, NotPointed, ShapeMismatch, WitnessError
 from epsolve.finposet import (
     FinPoset,
-    MapChain,
     MonotoneMap,
     Violation,
     antichain,
@@ -45,7 +44,6 @@ from epsolve.finposet import (
     poset_from_json,
     poset_to_json,
     product,
-    validate_map_chain,
     validate_poset,
 )
 
@@ -423,12 +421,12 @@ def test_compose_associative(seed):
 
 def test_lub_two_term_chain():
     cb = const_map(two(), two(), "v0")
-    assert lub_map_chain(MapChain((cb, identity(two())), 1)) == identity(two())
+    assert lub_map_chain([cb, identity(two())], 1) == identity(two())
 
 
 def test_lub_constant_chain():
     f = const_map(two(), two(), "v0")
-    assert lub_map_chain(MapChain((f,), 0)) == f
+    assert lub_map_chain([f], 0) == f
 
 
 def test_lub_three_term_chain_on_three_chain():
@@ -436,20 +434,32 @@ def test_lub_three_term_chain_on_three_chain():
     cb = const_map(p, p, "v0")
     e = map_from_dict(p, p, {"v0": "v0", "v1": "v0", "v2": "v2"})
     assert leq_map(cb, e) and leq_map(e, identity(p))
-    assert lub_map_chain(MapChain((cb, e, identity(p)), 2)) == identity(p)
+    assert lub_map_chain([cb, e, identity(p)], 2) == identity(p)
 
 
 def test_lub_rejects_non_increasing():
     ident = identity(two())
     cb = const_map(two(), two(), "v0")
-    with pytest.raises(WitnessError):
-        validate_map_chain(MapChain((ident, cb), 1))
+    with pytest.raises(WitnessError, match="not increasing at index 0"):
+        lub_map_chain([ident, cb], 1)
 
 
 def test_lub_rejects_false_witness():
     cb = const_map(two(), two(), "v0")
-    with pytest.raises(WitnessError):
-        lub_map_chain(MapChain((cb, identity(two())), 0))
+    with pytest.raises(WitnessError, match="witness fails at index 1"):
+        lub_map_chain([cb, identity(two())], 0)
+
+
+def test_lub_rejects_empty_chain():
+    with pytest.raises(WitnessError, match="empty chain"):
+        lub_map_chain([], 0)
+
+
+@pytest.mark.parametrize("stab", [-1, 2])
+def test_lub_rejects_out_of_range_witness(stab):
+    cb = const_map(two(), two(), "v0")
+    with pytest.raises(WitnessError, match=f"stab_index {stab} out of range"):
+        lub_map_chain([cb, cb], stab)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +582,13 @@ def test_monotone_maps_match_brute_force():
     for p, q in [(two(), three()), (diamond(), two()), (flat(2), two())]:
         got = sorted(f.table for f in monotone_maps(p, q))
         assert got == sorted(brute_force_monotone_tables(p, q))
+
+
+def test_monotone_maps_walk_is_not_recursive():
+    # one position per element: a recursive walk overflowed the stack near
+    # a thousand elements
+    (f,) = monotone_maps(antichain(1200), one_point())
+    assert f.table == (0,) * 1200
 
 
 def test_function_space_cap():

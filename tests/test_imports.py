@@ -1,5 +1,5 @@
 """Every name a module imports is used in it (`__init__.py` re-exports, so it
-is left out)."""
+is left out), and no module relies on an `assert`, which `python -O` strips."""
 import ast
 from pathlib import Path
 
@@ -7,7 +7,8 @@ import pytest
 
 import epsolve
 
-MODULES = sorted(p for p in Path(epsolve.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(epsolve.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -24,3 +25,9 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsolve import finposet
 from epsolve.errors import CapExceeded, InvalidPair, ShapeMismatch
 from epsolve.finposet import (
     FinPoset,
@@ -30,7 +31,6 @@ from epsolve.opairs import (
     is_adjoint_pair,
     is_ep_pair,
     is_iso_pair,
-    make_pair,
     pair_compose,
     pair_from_json,
     pair_identity,
@@ -94,13 +94,25 @@ def test_predicates_match_defining_equations(seed):
 
 
 def test_predicates_reject_bad_shapes():
+    l, r = const_map(one_point(), two(), "v0"), const_map(three(), one_point(), "*")
     with pytest.raises(ShapeMismatch):
-        is_ep_pair(const_map(one_point(), two(), "v0"), const_map(three(), one_point(), "*"))
+        is_ep_pair(l, r)
+    with pytest.raises(ShapeMismatch):
+        PairHom(Kind.ADJ, l, r)
 
 
-def test_make_pair_rejects_invalid():
-    with pytest.raises(InvalidPair):
-        make_pair(Kind.EP, const_map(one_point(), two(), "v1"), const_map(two(), one_point(), "*"))
+def test_pair_hom_rejects_invalid():
+    # legs that form no pair of either kind: l sends the point to the top
+    l, r = const_map(one_point(), two(), "v1"), const_map(two(), one_point(), "*")
+    for kind in Kind:
+        with pytest.raises(InvalidPair, match=f"^not a valid {kind.value} pair$"):
+            PairHom(kind, l, r)
+        with pytest.raises(InvalidPair, match=f"^not a valid {kind.value} pair$"):
+            PairHom(kind=kind, l=l, r=r)
+    # a rejected pair leaves nothing in the intern table
+    assert not any(
+        key[0] is PairHom and key[2] is l and key[3] is r for key in finposet._INTERNED.keys()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +127,7 @@ def test_pair_compose_identity_neutral():
 def test_compose_bottom_inclusions():
     # evaluate both legs of 1 -> 2-chain -> 3-chain
     f = bottom_inclusion_pair(one_point(), two())
-    g = make_pair(
+    g = PairHom(
         Kind.EP,
         map_from_dict(two(), three(), {"v0": "v0", "v1": "v2"}),
         map_from_dict(three(), two(), {"v0": "v0", "v1": "v0", "v2": "v1"}),
