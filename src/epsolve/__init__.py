@@ -10,7 +10,6 @@ from .chains import (
     check_local_determination_adj,
     check_local_determination_ep,
     colimit_finite,
-    is_cocone,
     is_colimiting,
     is_colimiting_by_enumeration,
     link_composite,

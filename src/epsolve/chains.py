@@ -9,10 +9,12 @@ approximants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ShapeMismatch, WitnessError
 from .finposet import (
     FinPoset,
+    Interned,
     MonotoneMap,
     compose,
     identity,
@@ -33,47 +35,78 @@ from .opairs import (
 )
 
 
-@dataclass(frozen=True)
-class OmegaChain:
+@dataclass(frozen=True, eq=False)
+class OmegaChain(metaclass=Interned):
+    """Links objects[n] -> objects[n+1] of one kind, and an optional
+    stabilization witness.  Construction checks all three, so no invalid
+    chain exists; interning runs the check only when it builds an instance."""
+
     objects: tuple[FinPoset, ...]
     links: tuple[PairHom, ...]
     stab_index: int | None = None
+
+    def __post_init__(self):
+        if len(self.links) != len(self.objects) - 1:
+            raise ShapeMismatch("chain needs exactly len(objects)-1 links")
+        for n, link in enumerate(self.links):
+            if link.kind != self.kind:
+                raise ShapeMismatch(f"link {n} has kind {link.kind}, chain is {self.kind}")
+            if link.src != self.objects[n] or link.tgt != self.objects[n + 1]:
+                raise ShapeMismatch(f"link {n} endpoints do not match objects")
+        if self.stab_index is not None:
+            if not 0 <= self.stab_index <= len(self.links):
+                raise WitnessError("stab_index out of range")
+            for n in range(self.stab_index, len(self.links)):
+                if not is_iso_pair(self.links[n]):
+                    raise WitnessError(f"link {n} is not an iso pair; witness invalid")
 
     @property
     def kind(self) -> Kind:
         return self.links[0].kind if self.links else Kind.EP
 
-    def __len__(self) -> int:
-        return len(self.objects)
-
-
-def validate_chain(d: OmegaChain) -> None:
-    if len(d.links) != len(d.objects) - 1:
-        raise ShapeMismatch("chain needs exactly len(objects)-1 links")
-    for n, link in enumerate(d.links):
-        if link.kind != d.kind:
-            raise ShapeMismatch(f"link {n} has kind {link.kind}, chain is {d.kind}")
-        if link.src != d.objects[n] or link.tgt != d.objects[n + 1]:
-            raise ShapeMismatch(f"link {n} endpoints do not match objects")
-    if d.stab_index is not None:
-        if not 0 <= d.stab_index <= len(d.links):
-            raise WitnessError("stab_index out of range")
-        for n in range(d.stab_index, len(d.links)):
-            if not is_iso_pair(d.links[n]):
-                raise WitnessError(f"link {n} is not an iso pair; witness invalid")
-
 
 @dataclass(frozen=True)
 class Cocone:
+    """A cocone over `chain`, held as its final leg: commutation forces
+    c_n = c_{n+1} ∘ link_n, so the other legs are derived and every Cocone
+    commutes.  Both fields are interned, so `==` and `hash` are two identity tests."""
+
     chain: OmegaChain
-    apex: FinPoset
-    legs: tuple[PairHom, ...]
+    final: PairHom
+
+    def __post_init__(self):
+        if self.final.src != self.chain.objects[-1]:
+            raise ShapeMismatch("final leg does not start at the chain's last object")
+        # a chain with one object has no link to carry its kind
+        if self.chain.links and self.final.kind != self.chain.kind:
+            raise ShapeMismatch(f"final leg has kind {self.final.kind}, chain is {self.chain.kind}")
+
+    @property
+    def apex(self) -> FinPoset:
+        return self.final.tgt
 
     @property
     def kind(self) -> Kind:
-        # a chain with one object has no link to carry its kind; every
-        # cocone has at least one leg
-        return self.legs[0].kind
+        return self.final.kind
+
+    @cached_property
+    def legs(self) -> tuple[PairHom, ...]:
+        """c_0 .. c_N, the earlier ones in one backward pass."""
+        legs = [self.final] * len(self.chain.objects)
+        for n in range(len(self.chain.links) - 1, -1, -1):
+            legs[n] = pair_compose(legs[n + 1], self.chain.links[n])
+        return tuple(legs)
+
+
+def cocone_from_legs(d: OmegaChain, legs: tuple[PairHom, ...]) -> Cocone:
+    """The cocone over d with the given legs; ShapeMismatch unless there is
+    one per object and they commute, i.e. are the legs forced by the last."""
+    if len(legs) != len(d.objects):
+        raise ShapeMismatch(f"{len(legs)} legs for a chain of {len(d.objects)} objects")
+    k = Cocone(d, legs[-1])
+    if k.legs != legs:
+        raise ShapeMismatch("cocone legs do not commute")
+    return k
 
 
 @dataclass(frozen=True)
@@ -111,45 +144,19 @@ def link_composite(d: OmegaChain, n: int, m: int) -> PairHom:
     return out
 
 
-def is_cocone(k: Cocone) -> bool:
-    if len(k.legs) != len(k.chain.objects):
-        return False
-    for n, leg in enumerate(k.legs):
-        if leg.kind != k.kind or leg.src != k.chain.objects[n] or leg.tgt != k.apex:
-            return False
-    if any(link.kind != k.kind for link in k.chain.links):
-        return False
-    for n in range(len(k.legs) - 1):
-        if pair_compose(k.legs[n + 1], k.chain.links[n]) != k.legs[n]:
-            return False
-    return True
-
-
 def colimit_finite(d: OmegaChain) -> Cocone:
     """Canonical colimiting cocone of a chain with a verified stabilization
     witness: apex Δ_N, legs by link composites (inverted beyond N)."""
     if d.stab_index is None:
         raise WitnessError("colimit_finite needs a stabilization witness")
-    validate_chain(d)
     last = len(d.objects) - 1
-    return cocone_from_final_leg(d, pair_inverse(link_composite(d, d.stab_index, last)))
-
-
-def cocone_from_final_leg(d: OmegaChain, final: PairHom) -> Cocone:
-    """The unique cocone over d whose last leg is `final`; earlier legs are
-    forced by commutation, c_n = c_{n+1} ∘ link_n, in one backward pass."""
-    legs = [final] * len(d.objects)
-    for n in range(len(d.links) - 1, -1, -1):
-        legs[n] = pair_compose(legs[n + 1], d.links[n])
-    return Cocone(d, final.tgt, tuple(legs))
+    return Cocone(d, pair_inverse(link_composite(d, d.stab_index, last)))
 
 
 def _e_stab(k: Cocone) -> int:
-    # final available index serves as witness when the chain carries none
-    last = len(k.legs) - 1
-    if k.chain.stab_index is None:
-        return last
-    return min(k.chain.stab_index, last)
+    # the final index serves as witness when the chain carries none
+    stab = k.chain.stab_index
+    return len(k.legs) - 1 if stab is None else stab
 
 
 def _round_trips(k: Cocone) -> list[MonotoneMap]:
@@ -163,12 +170,11 @@ def _defects(maps: list[MonotoneMap], target: MonotoneMap) -> tuple[int, ...]:
 
 def _apex_condition(k: Cocone) -> tuple[bool, tuple[int, ...]]:
     """Whether the lub of the round trips c_n^L ∘ c_n^R is the apex identity,
-    and each round trip's defect against that identity."""
+    and each round trip's defect against that identity.  A Cocone commutes
+    over a checked chain, so these increase and are constant from the
+    witness on, as are the inner round trips of the ADJ check."""
     es = _round_trips(k)
-    try:
-        lub = lub_map_chain(es, _e_stab(k))
-    except WitnessError as exc:
-        raise WitnessError(f"invalid cocone: {exc}") from exc
+    lub = lub_map_chain(es, _e_stab(k))
     ident = identity(k.apex)
     return lub == ident, _defects(es, ident)
 
@@ -198,11 +204,7 @@ def check_local_determination_adj(k: Cocone) -> LdReport:
             comp = pair_compose(link, comp)
             ts.append(compose(comp.r, comp.l))
         t_stab = min(max(stab - n, 0), len(ts) - 1)
-        try:
-            inner_lub = lub_map_chain(ts, t_stab)
-        except WitnessError as exc:
-            raise WitnessError(f"invalid chain at stage {n}: {exc}") from exc
-        if inner_lub != target:
+        if lub_map_chain(ts, t_stab) != target:
             second_ok = False
         residuals.append(_defects(ts, target))
     return LdReport(Kind.ADJ, first_ok and second_ok, defects, tuple(residuals))
@@ -225,13 +227,12 @@ def is_colimiting(k: Cocone) -> bool:
     For n <= N, κ_n is the link composite Δ_n -> Δ_N, and commutation gives
     c_N ∘ κ_n = c_n.  For n > N, κ_n is the inverse of the iso link composite
     λ: Δ_N -> Δ_n, and commutation gives c_n ∘ λ = c_N, so
-    c_N ∘ κ_n = c_n ∘ λ ∘ λ⁻¹ = c_n.  Hence k is colimiting iff it is a
-    cocone and c_N is an iso pair.
+    c_N ∘ κ_n = c_n ∘ λ ∘ λ⁻¹ = c_n.  Every Cocone commutes, so k is
+    colimiting iff c_N is an iso pair.
     """
     if k.chain.stab_index is None:
         raise WitnessError("is_colimiting needs a stabilization witness")
-    validate_chain(k.chain)
-    return is_cocone(k) and is_iso_pair(k.legs[k.chain.stab_index])
+    return is_iso_pair(k.legs[k.chain.stab_index])
 
 
 def is_colimiting_by_enumeration(k: Cocone) -> bool:
@@ -254,8 +255,8 @@ def thread_approximant(d: OmegaChain, depth: int) -> Cocone:
     over the truncated chain with apex Δ_depth and composite legs."""
     if not 0 <= depth < len(d.objects):
         raise IndexError("depth out of range")
-    trunc = OmegaChain(d.objects[: depth + 1], d.links[:depth], stab_index=depth)
-    return cocone_from_final_leg(trunc, pair_identity(d.objects[depth], d.kind))
+    trunc = OmegaChain(d.objects[: depth + 1], d.links[:depth], depth)
+    return Cocone(trunc, pair_identity(d.objects[depth], d.kind))
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +271,13 @@ def chain_to_json(d: OmegaChain) -> dict:
 
 
 def chain_from_json(obj: dict) -> OmegaChain:
-    d = OmegaChain(
-        tuple(poset_from_json(p) for p in obj["objects"]),
-        tuple(pair_from_json(f) for f in obj["links"]),
-        obj.get("stab_index"),
-    )
-    validate_chain(d)
-    return d
+    objects = tuple(poset_from_json(p) for p in obj["objects"])
+    links = tuple(pair_from_json(f) for f in obj["links"])
+    stab = obj.get("stab_index")
+    # bool is an int, and True, 1.0 and 1 are one interning key
+    if stab is not None and type(stab) is not int:
+        raise WitnessError(f"stab_index must be an integer or null, got {stab!r}")
+    return OmegaChain(objects, links, stab)
 
 
 def cocone_to_json(k: Cocone) -> dict:
@@ -288,11 +289,9 @@ def cocone_to_json(k: Cocone) -> dict:
 
 
 def cocone_from_json(obj: dict) -> Cocone:
-    k = Cocone(
-        chain_from_json(obj["chain"]),
-        poset_from_json(obj["apex"]),
-        tuple(pair_from_json(f) for f in obj["legs"]),
-    )
-    if not is_cocone(k):
-        raise ShapeMismatch("deserialized cocone does not commute")
+    d = chain_from_json(obj["chain"])
+    apex = poset_from_json(obj["apex"])
+    k = cocone_from_legs(d, tuple(pair_from_json(f) for f in obj["legs"]))
+    if k.apex != apex:
+        raise ShapeMismatch("cocone apex is not the target of its legs")
     return k

@@ -25,12 +25,8 @@ def embedded_canonical_colimit() -> Cocone:
     """Canonical colimit of the chain 1 -> 2-chain -> 2-chain (stabilized
     after the first link), expressible inside the two-object category."""
     pt, two = one_point(), chain_poset(2)
-    d = OmegaChain(
-        (pt, two, two),
-        (bottom_inclusion_pair(pt, two), pair_identity(two)),
-        stab_index=1,
-    )
-    return colimit_finite(d)
+    links = (bottom_inclusion_pair(pt, two), pair_identity(two))
+    return colimit_finite(OmegaChain((pt, two, two), links, stab_index=1))
 
 
 def yoneda_demo_report() -> dict:

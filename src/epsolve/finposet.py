@@ -6,6 +6,7 @@ are computed exactly from an explicit stabilization witness.
 """
 from __future__ import annotations
 
+import inspect
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -49,10 +50,11 @@ class Interned(type):
 
     def __call__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls.__match_args__):
-            # the dataclass __init__ binds keywords and fills in defaults
-            obj = super().__call__(*args, **kwargs)
-            args = tuple(getattr(obj, name) for name in cls.__match_args__)
-            return _INTERNED.setdefault((cls, *args), obj)
+            # bind keywords and defaults as the dataclass __init__ would,
+            # without building an instance (and running its check) to do it
+            bound = inspect.signature(cls.__init__).bind(None, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
         key = (cls, *args)
         obj = _INTERNED.get(key)
         if obj is None:

@@ -14,6 +14,7 @@ from .chains import (
     LdReport,
     OmegaChain,
     check_local_determination,
+    cocone_from_legs,
     is_colimiting,
 )
 from .errors import CapExceeded, ShapeMismatch
@@ -263,11 +264,11 @@ class PreservationResult:
 
 
 def image_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> Cocone:
-    """The functor applied to every link and leg of the cocone."""
+    """The functor applied to every link and leg; ShapeMismatch unless the image legs commute."""
     links = tuple(pr_apply_mor(e, f, elem_cap) for f in k.chain.links)
     legs = tuple(pr_apply_mor(e, leg, elem_cap) for leg in k.legs)
     objects = tuple(leg.src for leg in legs)
-    return Cocone(OmegaChain(objects, links, k.chain.stab_index), legs[0].tgt, legs)
+    return cocone_from_legs(OmegaChain(objects, links, k.chain.stab_index), legs)
 
 
 def preserves_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> PreservationResult:

@@ -147,7 +147,8 @@ def derived_right_leg(l: MonotoneMap) -> MonotoneMap | None:
 def enumerate_pairs(a: FinPoset, b: FinPoset, kind: Kind = Kind.EP) -> tuple[PairHom, ...]:
     """All valid pairs a -> b of the given kind, ordered by left-leg table;
     CapExceeded past HARD_ENUM_LIMIT pairs.  Posets of any size are walked:
-    the walk prunes on its own, and only kept pairs count toward the limit.
+    the walk is a loop over a stack of per-position masks, it prunes on its
+    own, and only kept pairs count toward the limit.
 
     Both kinds are Galois connections, l(i) <= w iff i <= r(w); an ep pair
     also has r∘l = id.  One walk fills l's table in order and keeps, for
@@ -166,28 +167,31 @@ def enumerate_pairs(a: FinPoset, b: FinPoset, kind: Kind = Kind.EP) -> tuple[Pai
     leq = [[bool(row >> w & 1) for w in range(m)] for row in b.up]  # leq[v][w]: v <= w in b
     out: list[PairHom] = []
     tab = [0] * n
-
-    def walk(i: int, rc: list[int]) -> None:
+    start = [0] * (n + 1)  # per position, the first value of b not yet tried
+    # per position, the masks on entering it; with a empty they start empty
+    rcs = [[(1 << n) - 1] * m] + [[]] * n
+    i = 0 if all(rcs[0]) else -1
+    while i >= 0:
         if i == n:
             l = MonotoneMap(a, b, tuple(tab))
-            r = MonotoneMap(b, a, tuple(c.bit_length() - 1 for c in rc))
+            r = MonotoneMap(b, a, tuple(c.bit_length() - 1 for c in rcs[n]))
             out.append(PairHom(kind, l, r))
             if len(out) > HARD_ENUM_LIMIT:
                 raise CapExceeded(f"more than {HARD_ENUM_LIMIT} {kind.value} pairs from {n} to {m} elements")
-            return
-        above, apart = a.up[i], ~a.up[i]
-        for v in range(m):
+            i -= 1
+            continue
+        rc, above, apart = rcs[i], a.up[i], ~a.up[i]
+        for v in range(start[i], m):
             nxt = [c & (above if le else apart) for c, le in zip(rc, leq[v])]
             if ep:
                 nxt[v] &= 1 << i
             if all(nxt):
-                tab[i] = v
-                walk(i + 1, nxt)
-
-    # with a empty the masks start empty: no pair unless b is empty too
-    root = [(1 << n) - 1] * m
-    if all(root):
-        walk(0, root)
+                tab[i], start[i] = v, v + 1
+                i += 1
+                rcs[i], start[i] = nxt, 0
+                break
+        else:
+            i -= 1
     return tuple(out)
 
 

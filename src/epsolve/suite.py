@@ -13,11 +13,10 @@ from .chains import (
     check_local_determination,
     check_local_determination_adj,
     check_local_determination_ep,
-    cocone_from_final_leg,
     colimit_finite,
     is_colimiting,
 )
-from .errors import CapExceeded, NotPointed
+from .errors import CapExceeded, NotPointed, ShapeMismatch, WitnessError
 from .finposet import (
     FinPoset,
     antichain,
@@ -143,7 +142,7 @@ def cocones_over(d: OmegaChain, apexes):
         except CapExceeded:
             continue
         for final in finals:
-            yield cocone_from_final_leg(d, final)
+            yield Cocone(d, final)
 
 
 def functor_family(max_depth: int, consts: list[tuple[FinPoset, str]]) -> tuple[FunctorExpr, ...]:
@@ -171,14 +170,14 @@ def functor_family(max_depth: int, consts: list[tuple[FinPoset, str]]) -> tuple[
 # ---------------------------------------------------------------------------
 # P1/P4a: locally determined <=> colimiting, over enumerated cocones
 
-def _decide(k: Cocone, memo: dict[Cocone, tuple[bool, bool]]) -> tuple[bool, bool]:
+def _decide(k: Cocone, memo: dict[tuple, tuple[bool, bool]]) -> tuple[bool, bool]:
     """(colimiting, locally determined) of k, decided once per distinct
-    cocone in `memo`, the dict of one property run.  A Cocone holds interned
-    members, so its hash and == are cheap; the checkers are looked up in
-    this module's globals, where tests patch them."""
-    out = memo.get(k)
+    cocone in `memo`, the dict of one property run.  It is keyed by the
+    interned (chain, final leg) that fix k, so it keeps no legs alive; the
+    checkers are looked up in this module's globals, where tests patch them."""
+    out = memo.get((k.chain, k.final))
     if out is None:
-        out = memo[k] = (is_colimiting(k), check_local_determination(k).verdict)
+        out = memo[k.chain, k.final] = (is_colimiting(k), check_local_determination(k).verdict)
     return out
 
 
@@ -194,7 +193,7 @@ def run_ld_implies_colimiting(
     chains = [random_chain(rng, kind, max_size, max_len) for _ in range(chain_count)]
     failures = []
     cases = 0
-    memo: dict[Cocone, tuple[bool, bool]] = {}
+    memo: dict[tuple, tuple[bool, bool]] = {}
     for d in chains:
         # Δ_N, the canonical colimit's apex
         apexes = apex_catalog() + (d.objects[d.stab_index],)
@@ -215,15 +214,19 @@ def run_ld_implies_colimiting(
 IMAGE_SIZE_LIMIT = 8
 
 
-def _preserve_verdicts(e: FunctorExpr, canon: Cocone, memo: dict[Cocone, tuple[bool, bool]]):
+def _preserve_verdicts(e: FunctorExpr, canon: Cocone, memo: dict[tuple, tuple[bool, bool]]):
     """(colimiting, ld verdict) of the functor image, or None when the image
     exceeds IMAGE_SIZE_LIMIT or needs a bottom that is missing.  Images
     repeat (a constant functor sends every chain of one length and witness
     to the same cocone), so each distinct image is decided once."""
     try:
-        return _decide(image_cocone(e, canon, IMAGE_SIZE_LIMIT), memo)
+        image = image_cocone(e, canon, IMAGE_SIZE_LIMIT)
     except (CapExceeded, NotPointed):
         return None
+    except (ShapeMismatch, WitnessError):
+        # the images are no witnessed chain, or their legs do not commute
+        return False, False
+    return _decide(image, memo)
 
 
 def run_preservation(chains: list[OmegaChain], kind: Kind) -> PropertyResult:
@@ -235,7 +238,7 @@ def run_preservation(chains: list[OmegaChain], kind: Kind) -> PropertyResult:
             canon_by_key[d] = colimit_finite(d)
     failures = []
     cases = 0
-    memo: dict[Cocone, tuple[bool, bool]] = {}
+    memo: dict[tuple, tuple[bool, bool]] = {}
     for d, canon in canon_by_key.items():
         for e in family:
             verdicts = _preserve_verdicts(e, canon, memo)
@@ -257,7 +260,7 @@ def counterexample_cocone() -> Cocone:
     pt = one_point()
     two = chain_poset(2)
     d = OmegaChain((pt,) * 3, (pair_identity(pt),) * 2, 0)
-    return Cocone(d, two, (bottom_inclusion_pair(pt, two),) * 3)
+    return Cocone(d, bottom_inclusion_pair(pt, two))
 
 
 def run_counterexample() -> PropertyResult:
@@ -281,14 +284,8 @@ def run_ep_adjoint_second_condition(chains: list[OmegaChain]) -> PropertyResult:
     cases = 0
     for d in chains:
         canon = colimit_finite(d)
-        adj_chain = OmegaChain(
-            d.objects,
-            tuple(PairHom(Kind.ADJ, f.l, f.r) for f in d.links),
-            d.stab_index,
-        )
-        adj_cocone = Cocone(
-            adj_chain, canon.apex, tuple(PairHom(Kind.ADJ, f.l, f.r) for f in canon.legs)
-        )
+        adj_chain = OmegaChain(d.objects, tuple(PairHom(Kind.ADJ, f.l, f.r) for f in d.links), d.stab_index)
+        adj_cocone = Cocone(adj_chain, PairHom(Kind.ADJ, canon.final.l, canon.final.r))
         report = check_local_determination_adj(adj_cocone)
         cases += 1
         both_sides_id = all(

@@ -134,3 +134,33 @@ def test_run_preservation_fails_every_case_of_a_shared_image(monkeypatch):
     result = suite.run_preservation(chains, Kind.EP)
     assert not result.passed and result.cases == clean.cases
     assert result.failures == hits
+
+
+def test_run_preservation_records_an_image_whose_legs_do_not_commute(monkeypatch):
+    # a faulty functor action that sends the identity on flat(2) to the swap
+    # of its atoms: the image chain is witnessed (the swap is an iso), but
+    # its legs (swap, swap) do not commute, since swap ∘ swap is the identity
+    import epsolve.functors as functors
+    import epsolve.suite as suite
+    from epsolve.chains import OmegaChain
+    from epsolve.finposet import flat
+    from epsolve.functors import Id
+    from epsolve.opairs import enumerate_pairs, is_iso_pair, pair_identity
+
+    p = flat(2)
+    ident = pair_identity(p)
+    (swap,) = [u for u in enumerate_pairs(p, p) if is_iso_pair(u) and u != ident]
+    d = OmegaChain((p, p), (ident,), 0)
+    real = functors.pr_apply_mor
+
+    def faulty(e, f, elem_cap=functors.DEFAULT_ELEM_CAP):
+        return swap if e is Id() and f is ident else real(e, f, elem_cap)
+
+    monkeypatch.setattr(functors, "pr_apply_mor", faulty)
+    try:
+        result = suite.run_preservation([d], Kind.EP)
+    finally:
+        monkeypatch.undo()
+        real.cache_clear()  # it cached images built through `faulty`
+    assert not result.passed
+    assert {"functor": "D", "chain": repr(d)} in result.failures

@@ -1,4 +1,5 @@
 """Chains of pairs, cocones, canonical colimits, local determination."""
+import dataclasses
 import hashlib
 import json
 import random
@@ -16,19 +17,18 @@ from epsolve.chains import (
     check_local_determination,
     check_local_determination_adj,
     check_local_determination_ep,
-    cocone_from_final_leg,
     cocone_from_json,
+    cocone_from_legs,
     cocone_to_json,
     colimit_finite,
-    is_cocone,
     is_colimiting,
     is_colimiting_by_enumeration,
     link_composite,
     thread_approximant,
-    validate_chain,
 )
+from epsolve import finposet
 from epsolve.equations import iterate, parse_equation
-from epsolve.errors import WitnessError
+from epsolve.errors import ShapeMismatch, WitnessError
 from epsolve.finposet import chain_poset, compose, flat, identity, one_point
 from epsolve.opairs import (
     Kind,
@@ -61,16 +61,54 @@ def constant_chain(p, length=3, kind=Kind.EP) -> OmegaChain:
 # ---------------------------------------------------------------------------
 # chain validation and link composites
 
+def _interned_chain(objects, links) -> bool:
+    return any(
+        key[0] is OmegaChain and key[1] == objects and key[2] == links
+        for key in finposet._INTERNED.keys()
+    )
+
+
 def test_validate_accepts_n1_chain():
-    validate_chain(n1_chain())
+    d = n1_chain()
+    assert d is n1_chain()
+    assert d.kind == Kind.EP and d.stab_index == 1
 
 
 def test_validate_rejects_false_witness():
-    d = OmegaChain(
-        (one_point(), two()), (bottom_inclusion_pair(one_point(), two()),), 0
-    )
+    # the bottom inclusion into the 2-chain is no iso, so it cannot lie at
+    # or beyond the witness
+    objects, links = (one_point(), two()), (bottom_inclusion_pair(one_point(), two()),)
+    for stab in (0, 2, -1):
+        with pytest.raises(WitnessError):
+            OmegaChain(objects, links, stab)
     with pytest.raises(WitnessError):
-        validate_chain(d)
+        OmegaChain(objects=objects, links=links, stab_index=0)
+    # a rejected chain leaves nothing in the intern table
+    assert not _interned_chain(objects, links)
+
+
+def test_chain_rejects_bad_links():
+    pt, p = one_point(), two()
+    up = bottom_inclusion_pair(pt, p)
+    bad = [
+        ((pt, p, p), (up,)),  # one link short
+        ((p, p), (up,)),  # link 0 starts at the wrong object
+        ((pt, p, p), (up, pair_identity(p, Kind.ADJ))),  # mixed kinds
+    ]
+    for objects, links in bad:
+        with pytest.raises(ShapeMismatch):
+            OmegaChain(objects, links)
+        assert not _interned_chain(objects, links)
+
+
+def test_keyword_construction_of_a_live_chain_runs_no_check(monkeypatch):
+    d = n1_chain()
+    checked = []
+    monkeypatch.setattr(OmegaChain, "__post_init__", lambda self: checked.append(self))
+    assert OmegaChain(objects=d.objects, links=d.links, stab_index=1) is d
+    assert OmegaChain(d.objects, d.links, stab_index=1) is d
+    assert dataclasses.replace(d) is d
+    assert checked == []
 
 
 def test_link_composite_identity():
@@ -96,33 +134,58 @@ def test_ep_composites_split():
 # cocones and canonical colimits
 
 def test_canonical_colimit_is_cocone():
-    assert is_cocone(colimit_finite(n1_chain()))
+    canon = colimit_finite(n1_chain())
+    assert cocone_from_legs(canon.chain, canon.legs) == canon
 
 
 def test_perturbed_legs_break_commutation():
-    canon = colimit_finite(n1_chain())
-    for other in enumerate_pairs(one_point(), two(), Kind.EP) + enumerate_pairs(
-        two(), two(), Kind.EP
-    ):
+    # over the 2-chain chain of ADJ pairs each leg has rivals of its source
+    d = as_kind(constant_chain(two()), Kind.ADJ)
+    canon = colimit_finite(d)
+    perturbed = 0
+    for other in enumerate_pairs(two(), two(), Kind.ADJ):
         for n in range(len(canon.legs)):
-            if other.src != canon.legs[n].src or other == canon.legs[n]:
+            if other == canon.legs[n]:
                 continue
             legs = list(canon.legs)
             legs[n] = other
-            assert not is_cocone(Cocone(canon.chain, canon.apex, tuple(legs)))
+            with pytest.raises(ShapeMismatch):
+                cocone_from_legs(d, tuple(legs))
+            perturbed += 1
+    assert perturbed
 
 
 def test_legs_of_another_kind_are_not_a_cocone():
     canon = colimit_finite(n1_chain())
     legs = tuple(PairHom(Kind.ADJ, leg.l, leg.r) for leg in canon.legs)
-    assert not is_cocone(Cocone(canon.chain, canon.apex, legs))
+    with pytest.raises(ShapeMismatch):
+        cocone_from_legs(canon.chain, legs)
+    with pytest.raises(ShapeMismatch):
+        Cocone(canon.chain, legs[-1])
+    # only the final leg of another kind: the derived legs are all EP
+    with pytest.raises(ShapeMismatch):
+        cocone_from_legs(canon.chain, canon.legs[:-1] + legs[-1:])
+
+
+def test_wrong_number_of_legs_is_not_a_cocone():
+    canon = colimit_finite(n1_chain())
+    for legs in ((), canon.legs[1:], canon.legs + canon.legs[-1:]):
+        with pytest.raises(ShapeMismatch):
+            cocone_from_legs(canon.chain, legs)
+
+
+def test_final_leg_must_start_at_the_last_object():
+    d = n1_chain()
+    with pytest.raises(ShapeMismatch):
+        Cocone(d, bottom_inclusion_pair(one_point(), two()))
 
 
 def test_identity_cocone_over_constant_chain():
     pt = one_point()
     d = constant_chain(pt)
-    k = Cocone(d, pt, (pair_identity(pt),) * 3)
-    assert is_cocone(k)
+    k = Cocone(d, pair_identity(pt))
+    assert k.apex == pt and k.kind == Kind.EP
+    assert k.legs == (pair_identity(pt),) * 3
 
 
 def test_colimit_of_constant_chain():
@@ -157,7 +220,8 @@ def test_colimit_requires_witness():
 
 def test_cocone_from_final_leg_round_trip():
     canon = colimit_finite(n1_chain())
-    assert cocone_from_final_leg(canon.chain, canon.legs[-1]) == canon
+    assert Cocone(canon.chain, canon.legs[-1]) == canon
+    assert cocone_from_legs(canon.chain, canon.legs) == canon
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +244,7 @@ def test_ld_fails_on_counterexample():
 def test_ld_identity_cocone_all_zero():
     p = two()
     d = constant_chain(p)
-    k = Cocone(d, p, (pair_identity(p),) * 3)
+    k = Cocone(d, pair_identity(p))
     report = check_local_determination_ep(k)
     assert report.verdict is True
     assert report.defects == (0, 0, 0)
@@ -189,14 +253,8 @@ def test_ld_identity_cocone_all_zero():
 def test_adj_second_condition_identity_on_ep_composites():
     d = random_chain(random.Random(11), Kind.EP, 4, 5)
     canon = colimit_finite(d)
-    adj = Cocone(
-        OmegaChain(
-            d.objects,
-            tuple(PairHom(Kind.ADJ, f.l, f.r) for f in d.links),
-            d.stab_index,
-        ),
-        canon.apex,
-        tuple(PairHom(Kind.ADJ, f.l, f.r) for f in canon.legs),
+    adj = cocone_from_legs(
+        as_kind(d, Kind.ADJ), tuple(PairHom(Kind.ADJ, f.l, f.r) for f in canon.legs)
     )
     report = check_local_determination_adj(adj)
     assert report.verdict is True
@@ -218,14 +276,8 @@ def test_adj_canonical_colimit_of_collapsing_chain():
 
 def test_adj_counterexample_fails_first_condition():
     k = counterexample_cocone()
-    adj = Cocone(
-        OmegaChain(
-            k.chain.objects,
-            tuple(PairHom(Kind.ADJ, f.l, f.r) for f in k.chain.links),
-            k.chain.stab_index,
-        ),
-        k.apex,
-        tuple(PairHom(Kind.ADJ, f.l, f.r) for f in k.legs),
+    adj = cocone_from_legs(
+        as_kind(k.chain, Kind.ADJ), tuple(PairHom(Kind.ADJ, f.l, f.r) for f in k.legs)
     )
     assert check_local_determination_adj(adj).verdict is False
 
@@ -268,21 +320,25 @@ def test_transport_along_iso_stays_colimiting():
     isos = [u for u in enumerate_pairs(two(), two(), Kind.EP) if compose(u.r, u.l) == identity(two()) and compose(u.l, u.r) == identity(two())]
     assert isos
     for u in isos:
-        moved = Cocone(canon.chain, u.tgt, tuple(pair_compose(u, leg) for leg in canon.legs))
+        moved = cocone_from_legs(canon.chain, tuple(pair_compose(u, leg) for leg in canon.legs))
         assert is_colimiting(moved)
 
 
-def _swap_breaking_commutation(k: Cocone) -> Cocone | None:
-    """k with two legs of the same source swapped, if some swap leaves a
-    family of legs that does not commute."""
+def _commutes(d: OmegaChain, legs) -> bool:
+    """Oracle: c_n = c_{n+1} ∘ link_n for every link."""
+    return all(pair_compose(legs[n + 1], link) == legs[n] for n, link in enumerate(d.links))
+
+
+def _swap_breaking_commutation(k: Cocone) -> tuple[PairHom, ...] | None:
+    """k's legs with two legs of the same source swapped, if some swap
+    leaves a family of legs that does not commute."""
     for i in range(len(k.legs)):
         for j in range(i + 1, len(k.legs)):
             if k.legs[i].src == k.legs[j].src and k.legs[i] != k.legs[j]:
                 legs = list(k.legs)
                 legs[i], legs[j] = legs[j], legs[i]
-                swapped = Cocone(k.chain, k.apex, tuple(legs))
-                if not is_cocone(swapped):
-                    return swapped
+                if not _commutes(k.chain, legs):
+                    return tuple(legs)
     return None
 
 
@@ -300,11 +356,12 @@ def test_forced_mediator_agrees_with_enumeration(seed, kind):
     d = random_chain(rng, kind, 3, 4)
     swapped = None
     for k in cocones_over(d, apex_catalog()[:4]):
+        assert _commutes(d, k.legs)
         assert is_colimiting(k) == is_colimiting_by_enumeration(k)
         swapped = swapped or _swap_breaking_commutation(k)
     if swapped is not None:
-        assert not is_colimiting(swapped)
-        assert not is_colimiting_by_enumeration(swapped)
+        with pytest.raises(ShapeMismatch):
+            cocone_from_legs(d, swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +453,7 @@ def test_colimit_legs_are_link_composites(d):
             assert leg == link_composite(d, n, stab)
         else:
             assert leg == pair_inverse(link_composite(d, stab, n))
-    assert cocone_from_final_leg(d, canon.legs[-1]) == canon
+    assert cocone_from_legs(d, canon.legs) == canon
 
 
 @pytest.mark.parametrize("d", ORACLE_CHAINS)
@@ -444,7 +501,8 @@ def test_thread_approximant_composes_once_per_leg(monkeypatch):
         return real(g, f)
 
     monkeypatch.setattr(chains, "pair_compose", counting)
-    thread_approximant(d, 10)
+    k = thread_approximant(d, 10)
+    assert len(k.legs) == 11
     assert len(calls) <= 10
 
 
@@ -468,6 +526,13 @@ def test_cocone_json_rejects_non_commuting():
     from epsolve.errors import ShapeMismatch
 
     with pytest.raises(ShapeMismatch):
+        cocone_from_json(bad)
+
+
+def test_cocone_json_rejects_a_foreign_apex():
+    bad = cocone_to_json(colimit_finite(n1_chain()))
+    bad["apex"] = cocone_to_json(colimit_finite(constant_chain(flat(2))))["apex"]
+    with pytest.raises(ShapeMismatch, match="apex is not the target of its legs"):
         cocone_from_json(bad)
 
 

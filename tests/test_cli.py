@@ -274,6 +274,21 @@ def _non_monotone_leg(payload):
     payload["legs"][1]["l"]["table"] = {"v0": "v1", "v1": "v0"}
 
 
+def _stab(value):
+    def corrupt(payload):
+        payload["chain"]["stab_index"] = value
+
+    return corrupt
+
+
+def _no_legs(payload):
+    payload["legs"] = []
+
+
+def _extra_leg(payload):
+    payload["legs"].append(payload["legs"][-1])
+
+
 @pytest.mark.parametrize(
     "corrupt,reason",
     [
@@ -284,8 +299,17 @@ def _non_monotone_leg(payload):
         (_table_value_outside_codomain, "ShapeMismatch: map table values outside the codomain"),
         (_list_table, "ShapeMismatch: map table must be a dict"),
         (_non_monotone_leg, "ShapeMismatch: deserialized map is not monotone"),
+        # True and 1.0 equal 1, the chain's valid witness
+        (_stab(True), "WitnessError: stab_index must be an integer or null, got True)"),
+        (_stab(1.0), "WitnessError: stab_index must be an integer or null, got 1.0)"),
+        (_stab("1"), "WitnessError: stab_index must be an integer or null, got '1')"),
+        (_no_legs, "ShapeMismatch: 0 legs for a chain of 2 objects)"),
+        (_extra_leg, "ShapeMismatch: 3 legs for a chain of 2 objects)"),
     ],
-    ids=["leq-truthy", "elems-int", "table-extra", "bottom-list", "table-value", "table-list", "leg-non-monotone"],
+    ids=[
+        "leq-truthy", "elems-int", "table-extra", "bottom-list", "table-value", "table-list",
+        "leg-non-monotone", "stab-true", "stab-float", "stab-string", "legs-empty", "legs-extra",
+    ],
 )
 def test_check_ld_rejects_invalid_fields(corrupt, reason, tmp_path, capsys):
     payload = cocone_to_json(colimit_finite(n1_chain()))

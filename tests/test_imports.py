@@ -1,11 +1,14 @@
 """Every name a module imports is used in it (`__init__.py` re-exports, so it
-is left out), and no module relies on an `assert`, which `python -O` strips."""
+is left out), no module relies on an `assert`, which `python -O` strips, and
+every interned class compares by identity."""
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import epsolve
+from epsolve.finposet import Interned
 
 SOURCES = sorted(Path(epsolve.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -31,3 +34,16 @@ def test_every_import_is_used(path):
 def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+def test_interned_classes_keep_identity_equality():
+    # a @dataclass without eq=False would bring back structural == and hash
+    classes = {
+        obj
+        for path in MODULES
+        for obj in vars(importlib.import_module(f"epsolve.{path.stem}")).values()
+        if isinstance(obj, Interned)
+    }
+    assert {"FinPoset", "MonotoneMap", "PairHom", "OmegaChain", "Lift"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls

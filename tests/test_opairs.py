@@ -1,6 +1,7 @@
 """Embedding-projection and adjoint pairs: predicates, algebra, enumeration,
 interning."""
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -295,6 +296,18 @@ def test_enumeration_cap(monkeypatch):
     assert len(enumerate_pairs(antichain(3), antichain(3), Kind.EP)) == 6
 
 
+def test_enumeration_walks_a_long_source_without_recursion():
+    # the walk has one position per element of the source
+    (f,) = enumerate_pairs(chain_poset(1200), one_point(), Kind.ADJ)
+    assert f.r.table == (1199,)
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    gc.collect()
+    enumerate_pairs.__wrapped__(diamond(), flat(3), Kind.ADJ)
+    assert gc.collect() == 0
+
+
 def test_adjoint_enumeration_past_the_monotone_map_limit():
     # 7^7 monotone maps pass HARD_ENUM_LIMIT; the 7! pairs do not
     pairs = enumerate_pairs(antichain(7), antichain(7), Kind.ADJ)
@@ -341,6 +354,18 @@ def test_pair_construction_is_interned():
     assert f is pair_from_json(pair_to_json(f)) is dataclasses.replace(f)
     assert f is enumerate_pairs(one_point(), two(), Kind.EP)[0]
     assert f != PairHom(Kind.ADJ, f.l, f.r)
+
+
+def test_keyword_construction_of_a_live_pair_runs_no_check(monkeypatch):
+    import epsolve.opairs as opairs
+
+    f = bottom_inclusion_pair(one_point(), two())
+    checked = []
+    monkeypatch.setitem(opairs._CHECKS, Kind.EP, lambda l, r: checked.append((l, r)) or True)
+    assert PairHom(kind=Kind.EP, l=f.l, r=f.r) is f
+    assert PairHom(Kind.EP, f.l, r=f.r) is f
+    assert dataclasses.replace(f) is f
+    assert checked == []
 
 
 def test_pair_json_rejects_invalid():

@@ -200,7 +200,7 @@ def test_proof_step_identity_cocone(kctx):
 
     two = chain_poset(2)
     d = OmegaChain((two,) * 3, (pair_identity(two),) * 2, 0)
-    k = Cocone(d, two, (pair_identity(two),) * 3)
+    k = Cocone(d, pair_identity(two))
     assert verify_proof_step(kctx, k) is True
 
 
