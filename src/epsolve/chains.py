@@ -8,8 +8,7 @@ approximants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import ShapeMismatch, WitnessError
 from .finposet import (
@@ -64,15 +63,22 @@ class OmegaChain(metaclass=Interned):
     def kind(self) -> Kind:
         return self.links[0].kind if self.links else Kind.EP
 
+    @property
+    def witness(self) -> int:
+        """`stab_index`, or the last index when the chain carries none."""
+        return len(self.links) if self.stab_index is None else self.stab_index
+
 
 @dataclass(frozen=True)
 class Cocone:
     """A cocone over `chain`, held as its final leg: commutation forces
-    c_n = c_{n+1} ∘ link_n, so the other legs are derived and every Cocone
-    commutes.  Both fields are interned, so `==` and `hash` are two identity tests."""
+    c_n = c_{n+1} ∘ link_n, so the other legs c_0 .. c_N are built with the
+    cocone, in one backward pass, and every Cocone commutes.  Both fields
+    are interned, so `==` and `hash` are two identity tests."""
 
     chain: OmegaChain
     final: PairHom
+    legs: tuple[PairHom, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.final.src != self.chain.objects[-1]:
@@ -80,6 +86,11 @@ class Cocone:
         # a chain with one object has no link to carry its kind
         if self.chain.links and self.final.kind != self.chain.kind:
             raise ShapeMismatch(f"final leg has kind {self.final.kind}, chain is {self.chain.kind}")
+        links = self.chain.links
+        legs = [self.final] * (len(links) + 1)
+        for n in range(len(links) - 1, -1, -1):
+            legs[n] = pair_compose(legs[n + 1], links[n])
+        object.__setattr__(self, "legs", tuple(legs))
 
     @property
     def apex(self) -> FinPoset:
@@ -88,14 +99,6 @@ class Cocone:
     @property
     def kind(self) -> Kind:
         return self.final.kind
-
-    @cached_property
-    def legs(self) -> tuple[PairHom, ...]:
-        """c_0 .. c_N, the earlier ones in one backward pass."""
-        legs = [self.final] * len(self.chain.objects)
-        for n in range(len(self.chain.links) - 1, -1, -1):
-            legs[n] = pair_compose(legs[n + 1], self.chain.links[n])
-        return tuple(legs)
 
 
 def cocone_from_legs(d: OmegaChain, legs: tuple[PairHom, ...]) -> Cocone:
@@ -153,16 +156,6 @@ def colimit_finite(d: OmegaChain) -> Cocone:
     return Cocone(d, pair_inverse(link_composite(d, d.stab_index, last)))
 
 
-def _e_stab(k: Cocone) -> int:
-    # the final index serves as witness when the chain carries none
-    stab = k.chain.stab_index
-    return len(k.legs) - 1 if stab is None else stab
-
-
-def _round_trips(k: Cocone) -> list[MonotoneMap]:
-    return [compose(leg.l, leg.r) for leg in k.legs]
-
-
 def _defects(maps: list[MonotoneMap], target: MonotoneMap) -> tuple[int, ...]:
     """Per map, the number of elements where it differs from target."""
     return tuple(sum(1 for a, b in zip(m.table, target.table) if a != b) for m in maps)
@@ -173,8 +166,8 @@ def _apex_condition(k: Cocone) -> tuple[bool, tuple[int, ...]]:
     and each round trip's defect against that identity.  A Cocone commutes
     over a checked chain, so these increase and are constant from the
     witness on, as are the inner round trips of the ADJ check."""
-    es = _round_trips(k)
-    lub = lub_map_chain(es, _e_stab(k))
+    es = [compose(leg.l, leg.r) for leg in k.legs]
+    lub = lub_map_chain(es, k.chain.witness)
     ident = identity(k.apex)
     return lub == ident, _defects(es, ident)
 
@@ -192,7 +185,7 @@ def check_local_determination_adj(k: Cocone) -> LdReport:
     if k.kind != Kind.ADJ:
         raise ShapeMismatch("check_local_determination_adj: ADJ cocone required")
     first_ok, defects = _apex_condition(k)
-    stab = _e_stab(k)
+    stab = k.chain.witness
     second_ok = True
     residuals = []
     for n, leg in enumerate(k.legs):
@@ -203,8 +196,7 @@ def check_local_determination_adj(k: Cocone) -> LdReport:
         for link in k.chain.links[n:]:
             comp = pair_compose(link, comp)
             ts.append(compose(comp.r, comp.l))
-        t_stab = min(max(stab - n, 0), len(ts) - 1)
-        if lub_map_chain(ts, t_stab) != target:
+        if lub_map_chain(ts, max(stab - n, 0)) != target:
             second_ok = False
         residuals.append(_defects(ts, target))
     return LdReport(Kind.ADJ, first_ok and second_ok, defects, tuple(residuals))

@@ -549,14 +549,13 @@ class _Partition:
     cell is named by its first position, `end[s]` is where cell s stops,
     `loose` maps each non-singleton cell to the bit mask of its elements, and
     `cell[v]` names v's cell while that cell is loose (a singleton cell is
-    never cut, so its element need not be kept up to date).  `cell` is None
-    until a splitter first looks cells up by element, and is kept from then
-    on.  Every step depends on positions and counts only, never on element
-    labels, so isomorphic posets take isomorphic steps."""
+    never cut, so its element need not be kept up to date).  Every step
+    depends on positions and counts only, never on element labels, so
+    isomorphic posets take isomorphic steps."""
 
     __slots__ = ("lab", "end", "loose", "cell")
 
-    def __init__(self, lab, end, loose, cell=None):
+    def __init__(self, lab, end, loose, cell):
         self.lab, self.end, self.loose, self.cell = lab, end, loose, cell
 
     @classmethod
@@ -564,18 +563,19 @@ class _Partition:
         """The classes of the ranks `rk`, in rank order."""
         n = len(rk)
         lab = sorted(range(n), key=rk.__getitem__)
-        end, loose, s = [0] * n, {}, 0
+        end, loose, cell, s = [0] * n, {}, [-1] * n, 0
         for i in range(1, n + 1):
             if i == n or rk[lab[i]] != rk[lab[s]]:
                 end[s] = i
                 if i - s > 1:
                     loose[s] = sum(1 << v for v in lab[s:i])
+                    for v in lab[s:i]:
+                        cell[v] = s
                 s = i
-        return cls(lab, end, loose)
+        return cls(lab, end, loose, cell)
 
     def copy(self) -> _Partition:
-        cell = self.cell
-        return _Partition(self.lab[:], self.end[:], self.loose.copy(), None if cell is None else cell[:])
+        return _Partition(self.lab[:], self.end[:], self.loose.copy(), self.cell[:])
 
     def individualize(self, s: int, v: int, up, down) -> None:
         """Split v off the front of cell s, then refine to equitable."""
@@ -586,9 +586,8 @@ class _Partition:
         rest = loose.pop(s) & ~(1 << v)
         if end[s + 1] - s > 2:
             loose[s + 1] = rest
-            if cell is not None:
-                for u in lab[s + 1 : end[s + 1]]:
-                    cell[u] = s + 1
+            for u in lab[s + 1 : end[s + 1]]:
+                cell[u] = s + 1
         # the cell was equitable, so counts into its rest follow from counts into v
         self.refine([s], up, down)
 
@@ -598,13 +597,7 @@ class _Partition:
         for the caller to test."""
         loose = self.loose
         if hit.bit_count() * SPARSE_HIT < len(loose):
-            cell = self.cell
-            if cell is None:
-                cell = self.cell = [-1] * len(self.lab)
-                for t in loose:
-                    for v in self.lab[t : self.end[t]]:
-                        cell[v] = t
-            return loose.keys() & set(map(cell.__getitem__, _ones(hit)))
+            return loose.keys() & set(map(self.cell.__getitem__, _ones(hit)))
         return loose
 
     def _split(self, t: int, masks: list[int], queue: list[int], pending: set[int]) -> None:
@@ -625,7 +618,7 @@ class _Partition:
             end[a] = b
             if b - a > 1:
                 loose[a] = m
-            if a != t and cell is not None:
+            if a != t:
                 for v in frag:
                     cell[v] = a
             starts.append(a)
@@ -730,7 +723,8 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
     exactly when mapping one onto the other, position by position, is an
     automorphism.  A leaf is tested that way; a child is tested on the
     elements the map moves (`_keeps_rows`).  Each automorphism found is
-    kept as the points it moves.  Subtrees are skipped three ways:
+    kept as the points it moves and handed at once to every node on the
+    current path, all of which it fixes.  Subtrees are skipped three ways:
 
     - a child in the orbit of a tried sibling, under the automorphisms known
       so far that fix the node's path (swaps of twins, with equal strict up-
@@ -753,15 +747,15 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
     n = len(p)
     up, down = p.up, p.down
     twin = [(u ^ 1 << v, d ^ 1 << v) for v, (u, d) in enumerate(zip(up, down))]
-    gens: list[dict[int, int]] = []  # the points each automorphism moves, and where
     leaves = 0
     first = best = None  # (ordering, path, string)
 
     def moves(src, dst) -> dict[int, int]:
         return dict(compress(zip(src, dst), map(ne, src, dst)))
 
-    def leaf(order: tuple[int, ...], path: list[int]) -> int | None:
-        """Compare a leaf with the first and the best; the level to back up to, or None."""
+    def leaf(order: tuple[int, ...], path: list[int]) -> None:
+        """Compare a leaf with the first and the best; on a match, back up
+        to the node where the two paths part."""
         nonlocal leaves, first, best
         leaves += 1
         if leaves > CANONICAL_ORDER_CAP:
@@ -769,13 +763,14 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
         bits = _matrix(rows, order)
         for seen in () if first is None else (first,) if best is first else (first, best):
             if bits == seen[2]:
-                gens.append(moves(seen[0], order))
-                return next((k for k, (a, b) in enumerate(zip(path, seen[1])) if a != b), len(path))
+                back = next((k for k, (a, b) in enumerate(zip(path, seen[1])) if a != b), len(path))
+                del stack[back + 1 :]
+                found(moves(seen[0], order))
+                return
         if best is None or bits < best[2]:
             best = (order, path, bits)
         if first is None:
             first = best
-        return None
 
     def find(orbit: dict[int, int], x: int) -> int:
         while orbit[x] != x:
@@ -790,19 +785,28 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
                 if a != b:
                     orbit[b] = a
 
+    def found(g: dict[int, int]) -> None:
+        """Hand g to every node on the stack.  g maps one partition refined
+        below the last of them onto another, and each path element is a
+        singleton cell at the same position in both, so g fixes every
+        node's path."""
+        for frame in stack:
+            frame[7].append(g)
+            if frame[6] is not None:
+                join(frame[6], g)
+
     def node(part: _Partition, path: list[int], fixing: list[dict[int, int]]) -> list:
         t = min(part.loose)
         cell = part.lab[t : part.end[t]]
-        return [part, path, t, cell, iter(cell), [], None, fixing, len(gens), None]
+        return [part, path, t, cell, iter(cell), [], None, fixing, None]
 
     # depth-first, one stack entry per level of the current path; each entry
-    # keeps the automorphisms that fix its path, how many it has looked at,
-    # the orbits of its cell (once a second child is due) and the refined
-    # partition of its first child
+    # keeps the automorphisms that fix its path, the orbits of its cell (once
+    # a second child is due) and the refined partition of its first child
     stack = [node(_Partition.from_ranks(rk), [], [])]
     while stack:
         frame = stack[-1]
-        part, path, t, cell, todo, tried, orbit, fixing, known, lead = frame
+        part, path, t, cell, todo, tried, orbit, fixing, lead = frame
         if not tried:
             v = next(todo)
         else:
@@ -811,11 +815,6 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
                 orbit = frame[6] = {x: rep.setdefault(twin[x], x) for x in cell}
                 for g in fixing:
                     join(orbit, g)
-            for g in gens[known:]:
-                if g.keys().isdisjoint(path):
-                    join(orbit, g)
-                    fixing.append(g)
-            frame[8] = len(gens)
             done = {find(orbit, u) for u in tried}
             for v in todo:
                 if find(orbit, v) not in done:
@@ -827,19 +826,17 @@ def _least_leaf(p: FinPoset, rk: list[int], rows: list[str]) -> tuple[str, tuple
         child = part.copy()
         child.individualize(t, v, up, down)
         if lead is None:
-            frame[9] = child
+            frame[8] = child
         elif child.loose and child.end == lead.end:
             # `end` fixes the cells, and so `loose`'s keys
             g = moves(lead.lab, child.lab)
             if _keeps_rows(up, down, rows, g):
-                gens.append(g)
+                found(g)
                 continue
         if child.loose:
             stack.append(node(child, path + [v], [g for g in fixing if v not in g]))
         else:
-            back = leaf(tuple(child.lab), path + [v])
-            if back is not None:
-                del stack[back + 1 :]
+            leaf(tuple(child.lab), path + [v])
     return best[2], best[0]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .chains import Cocone, _e_stab, _round_trips
+from .chains import Cocone
 from .errors import CapExceeded, InvalidCategory, ShapeMismatch
 from .finposet import (
     FinPoset,
@@ -271,10 +271,10 @@ def verify_proof_step(kctx: PosetOCategory, cocone: Cocone) -> bool:
     k = kctx.cat
     apex_obj = kctx.object_of_poset(cocone.apex)
     stage_objs = [kctx.object_of_poset(p) for p in cocone.chain.objects]
-    stab = _e_stab(cocone)
+    stab = cocone.chain.witness
 
     # left side: lub downstairs, then yoneda
-    es = _round_trips(cocone)
+    es = [compose(leg.l, leg.r) for leg in cocone.legs]
     lub = lub_map_chain(es, stab)
     left = yoneda_mor(k, apex_obj, apex_obj, kctx.token_of_map(apex_obj, apex_obj, lub))
 

@@ -16,7 +16,7 @@ from .chains import (
     colimit_finite,
     is_colimiting,
 )
-from .errors import CapExceeded, NotPointed, ShapeMismatch, WitnessError
+from .errors import CapExceeded, InvalidPair, NotPointed, ShapeMismatch, WitnessError
 from .finposet import (
     FinPoset,
     antichain,
@@ -223,8 +223,9 @@ def _preserve_verdicts(e: FunctorExpr, canon: Cocone, memo: dict[tuple, tuple[bo
         image = image_cocone(e, canon, IMAGE_SIZE_LIMIT)
     except (CapExceeded, NotPointed):
         return None
-    except (ShapeMismatch, WitnessError):
-        # the images are no witnessed chain, or their legs do not commute
+    except (InvalidPair, ShapeMismatch, WitnessError):
+        # an image is no valid pair, the images are no witnessed chain, or
+        # their legs do not commute
         return False, False
     return _decide(image, memo)
 

@@ -164,3 +164,30 @@ def test_run_preservation_records_an_image_whose_legs_do_not_commute(monkeypatch
         real.cache_clear()  # it cached images built through `faulty`
     assert not result.passed
     assert {"functor": "D", "chain": repr(d)} in result.failures
+
+
+def test_run_preservation_records_an_image_that_is_not_a_valid_pair(monkeypatch):
+    # a faulty lift action that sends every element to the codomain's top:
+    # the maps are monotone, but a lifted identity pair breaks r∘l = id, so
+    # building the image pair raises InvalidPair, which is a failed case
+    import epsolve.functors as functors
+    import epsolve.suite as suite
+    from epsolve.chains import OmegaChain
+    from epsolve.finposet import MonotoneMap, chain_poset, lift
+    from epsolve.opairs import pair_identity
+
+    def faulty(f):
+        cod = lift(f.cod)
+        return MonotoneMap(lift(f.dom), cod, (len(cod) - 1,) * (len(f.dom) + 1))
+
+    p = chain_poset(2)
+    d = OmegaChain((p, p), (pair_identity(p),), 0)
+    monkeypatch.setattr(functors, "lift_map", faulty)
+    try:
+        result = suite.run_preservation([d], Kind.EP)
+    finally:
+        monkeypatch.undo()
+        functors.pr_apply_mor.cache_clear()  # it cached images built through `faulty`
+    assert not result.passed
+    assert {"functor": "lift(D)", "chain": repr(d)} in result.failures
+    assert {"functor": "D", "chain": repr(d)} not in result.failures

@@ -224,6 +224,25 @@ def test_cocone_from_final_leg_round_trip():
     assert cocone_from_legs(canon.chain, canon.legs) == canon
 
 
+def test_legs_are_built_with_the_cocone(monkeypatch):
+    # once a Cocone exists, reading its legs composes no pair
+    import epsolve.chains as chains
+
+    d = random_chain(random.Random(5), Kind.EP, 4, 5)
+    final = colimit_finite(d).final
+    k = Cocone(d, final)
+
+    def no_compose(*args):
+        raise AssertionError("legs composed after construction")
+
+    monkeypatch.setattr(chains, "pair_compose", no_compose)
+    legs = k.legs
+    monkeypatch.undo()
+    last = len(d.objects) - 1
+    assert last > 1
+    assert legs == tuple(pair_compose(final, link_composite(d, n, last)) for n in range(last + 1))
+
+
 # ---------------------------------------------------------------------------
 # local determination
 

@@ -1108,7 +1108,9 @@ def test_node_automorphisms_keep_the_leaf_only_result_on_strongly_regular_graphs
     assert_searched_as_at_leaves(srg_incidence(*graphs))
 
 
-@pytest.mark.parametrize("body,depth", [("sum(D,D)", 5), ("prod(prod(const(diamond),D),unit)", 4)])
+@pytest.mark.parametrize(
+    "body,depth", [("sum(D,D)", 5), ("prod(prod(const(diamond),D),unit)", 4), ("sum(lift(D),lift(D))", 5)]
+)
 def test_node_automorphisms_keep_the_leaf_only_result_on_stages(body, depth):
     from epsolve.equations import iterate, parse_equation
 
@@ -1147,20 +1149,27 @@ def forced(way):
 
 
 def assert_cells_named(part):
-    """`cell`, once built, names the cell of every element of a
-    non-singleton cell."""
-    if part.cell is None:
-        return
+    """`cell` names the cell of every element of a non-singleton cell."""
     for s in part.loose:
         assert all(part.cell[v] == s for v in part.lab[s : part.end[s]])
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+def test_partition_from_ranks_names_its_cells(rk):
+    from epsolve.finposet import _Partition
+
+    part = _Partition.from_ranks(rk)
+    classes = [frozenset(v for v, r in enumerate(rk) if r == c) for c in set(rk)]
+    assert {frozenset(part.lab[s : part.end[s]]) for s in part.loose} == {c for c in classes if len(c) > 1}
+    assert_cells_named(part)
 
 
 def assert_reference_steps(p):
     """Forced either way, or with the thresholds as set, every
     individualization of the form search leaves `lab`, `end` and `loose` as
-    the scanning reference does, `cell`, once built, names each element's
-    cell, and the form and ordering are the leaf-only oracle's.  Rank lists
-    match the all-elements loop."""
+    the scanning reference does, `cell` names each element's cell, and the
+    form and ordering are the leaf-only oracle's.  Rank lists match the
+    all-elements loop."""
     from epsolve import finposet
 
     individualize = finposet._Partition.individualize
@@ -1330,7 +1339,7 @@ def test_refining_a_sparse_stage_reads_few_loose_cells(monkeypatch):
     assert len(p) == 481
     init = finposet._Partition.__init__
     monkeypatch.setattr(
-        finposet._Partition, "__init__", lambda part, lab, end, loose, cell=None: init(part, lab, end, Counting(loose), cell)
+        finposet._Partition, "__init__", lambda part, lab, end, loose, cell: init(part, lab, end, Counting(loose), cell)
     )
     finposet._searched(p)
     assert Counting.reads < 67_928 // 4

@@ -1,6 +1,7 @@
 """Every name a module imports is used in it (`__init__.py` re-exports, so it
-is left out), no module relies on an `assert`, which `python -O` strips, and
-every interned class compares by identity."""
+is left out), no module imports another's `_`-prefixed names, no module
+relies on an `assert`, which `python -O` strips, and every interned class
+compares by identity."""
 import ast
 import importlib
 from pathlib import Path
@@ -28,6 +29,21 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    return sorted(
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "epsolve")
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_names_imported_from_another_module(path):
+    assert _private_imports(ast.parse(path.read_text())) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
