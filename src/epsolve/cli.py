@@ -15,6 +15,7 @@ from .chains import Cocone, check_local_determination, cocone_from_json
 from .demo import yoneda_demo_report
 from .equations import (
     EquationSyntaxError,
+    json_bytes,
     parse_equation,
     parse_functor,
     report_json_bytes,
@@ -28,7 +29,7 @@ from .suite import run_all
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "wb") as fh:
-        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+        fh.write(json_bytes(payload))
 
 
 def _print_stage_table(stages) -> None:
@@ -129,7 +130,7 @@ def cmd_verify_theorems(args) -> int:
 
 def cmd_yoneda_demo(args) -> int:
     rep = yoneda_demo_report()
-    print(json.dumps(rep, indent=2, sort_keys=True))
+    sys.stdout.write(json_bytes(rep).decode())
     if args.json:
         _write_json(args.json, rep)
     ok = (

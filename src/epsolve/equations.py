@@ -245,8 +245,13 @@ def solve_report(spec: EquationSpec, seed: int | None = None) -> RunReport:
     return report
 
 
+def json_bytes(payload) -> bytes:
+    """Every JSON document epsolve writes: two-space indent, sorted keys, final newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
 def report_json_bytes(report: RunReport) -> bytes:
-    return (json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n").encode()
+    return json_bytes(report.to_json())
 
 
 def run_solver_determinism():

@@ -2,11 +2,12 @@
 embedding and its full-faithfulness, pointwise lubs of natural
 transformations, and the lub-reflection equation y(⊔ e_n) = ⊔ y(c_n^L)∘y(c_n^R) = y(id).
 
-A finite O-category is a closed world: objects are names, hom-sets are
-FinPosets of opaque morphism tokens, and composition is a table.  The
-builder below constructs the full sub-O-category of the base poset
-category on a chosen family of posets, with tokens given by the
-function-space element names.
+A finite O-category is a closed world: objects are names, a morphism is
+its position in its hom-set FinPoset, whose `up` rows give the order, and
+composition is a table of positions.  The builder below constructs the
+full sub-O-category of the base poset category on a chosen family of
+posets, a morphism being its map's position in `function_space_maps`.
+Only `category_to_json` renders morphisms as element names.
 """
 from __future__ import annotations
 
@@ -35,65 +36,62 @@ FAMILY_CAP = 10_000
 @dataclass(frozen=True)
 class FinOCategory:
     objects: tuple[str, ...]
-    hom: dict  # (a, b) -> FinPoset of tokens
-    comp: dict  # (a, b, c) -> {(f, g): token of g∘f} for f: a->b, g: b->c
-    ids: dict  # a -> identity token in hom(a, a)
+    hom: dict  # (a, b) -> FinPoset; a morphism a -> b is a position in it
+    comp: dict  # (a, b, c) -> {(f, g): position of g∘f} for positions f: a->b, g: b->c
+    ids: dict  # a -> position of the identity in hom(a, a)
 
-    def compose(self, a: str, b: str, c: str, f: str, g: str) -> str:
+    def compose(self, a: str, b: str, c: str, f: int, g: int) -> int:
         return self.comp[(a, b, c)][(f, g)]
+
+
+def _is_position(t, p: FinPoset) -> bool:
+    """An int in range(len(p)): no bool, no negative index that would wrap."""
+    return type(t) is int and 0 <= t < len(p)
+
+
+def _le_pairs(p: FinPoset) -> list[tuple[int, int]]:
+    """The position pairs (i, j) with i <= j in p."""
+    return [(i, j) for i, row in enumerate(p.up) for j in range(len(p)) if row >> j & 1]
 
 
 def validate_category(k: FinOCategory) -> None:
     """Category laws plus monotonicity of composition in each argument."""
     for a in k.objects:
-        if k.ids[a] not in k.hom[(a, a)].elems:
-            raise InvalidCategory(f"identity token of {a} not in hom({a},{a})")
+        if not _is_position(k.ids[a], k.hom[(a, a)]):
+            raise InvalidCategory(f"identity of {a} is not a position in hom({a},{a})")
+    for (a, b, c), table in k.comp.items():
+        if not all(_is_position(h, k.hom[(a, c)]) for h in table.values()):
+            raise InvalidCategory(f"a composite {a}->{b}->{c} is not a position in hom({a},{c})")
     for a, b in itertools.product(k.objects, repeat=2):
-        for f in k.hom[(a, b)].elems:
+        for f in range(len(k.hom[(a, b)])):
             if k.compose(a, a, b, k.ids[a], f) != f:
                 raise InvalidCategory(f"left unit fails at {f}: {a}->{b}")
             if k.compose(a, b, b, f, k.ids[b]) != f:
                 raise InvalidCategory(f"right unit fails at {f}: {a}->{b}")
     for a, b, c, d in itertools.product(k.objects, repeat=4):
-        for f in k.hom[(a, b)].elems:
-            for g in k.hom[(b, c)].elems:
+        for f in range(len(k.hom[(a, b)])):
+            for g in range(len(k.hom[(b, c)])):
                 gf = k.compose(a, b, c, f, g)
-                for h in k.hom[(c, d)].elems:
+                for h in range(len(k.hom[(c, d)])):
                     lhs = k.compose(a, c, d, gf, h)
                     rhs = k.compose(a, b, d, f, k.compose(b, c, d, g, h))
                     if lhs != rhs:
                         raise InvalidCategory(f"associativity fails at ({f},{g},{h})")
     for a, b, c in itertools.product(k.objects, repeat=3):
-        hab, hbc = k.hom[(a, b)], k.hom[(b, c)]
-        hac = k.hom[(a, c)]
-        for f1 in hab.elems:
-            for f2 in hab.elems:
-                if not hab.le(f1, f2):
-                    continue
-                for g1 in hbc.elems:
-                    for g2 in hbc.elems:
-                        if not hbc.le(g1, g2):
-                            continue
-                        if not hac.le(
-                            k.compose(a, b, c, f1, g1), k.compose(a, b, c, f2, g2)
-                        ):
-                            raise InvalidCategory(
-                                "composition not monotone at "
-                                f"({f1},{g1}) <= ({f2},{g2})"
-                            )
-
-
-def _token(p: FinPoset, q: FinPoset, m: MonotoneMap) -> str:
-    """The token of m: p -> q, the name at m's position in the function space."""
-    fs, maps = function_space_maps(p, q)
-    return fs.elems[maps.index(m)]
+        up_ac, table = k.hom[(a, c)].up, k.comp[(a, b, c)]
+        g_le = _le_pairs(k.hom[(b, c)])
+        for f1, f2 in _le_pairs(k.hom[(a, b)]):
+            for g1, g2 in g_le:
+                if not up_ac[table[(f1, g1)]] >> table[(f2, g2)] & 1:
+                    raise InvalidCategory(
+                        f"composition not monotone at ({f1},{g1}) <= ({f2},{g2})"
+                    )
 
 
 @dataclass(frozen=True)
 class PosetOCategory:
-    """Full sub-O-category of the base poset category on named posets; the
-    tokens of hom(a, b) name the maps of function_space_maps, position by
-    position."""
+    """Full sub-O-category of the base poset category on named posets; a
+    morphism a -> b is its map's position in function_space_maps."""
 
     cat: FinOCategory
     posets: dict  # object name -> FinPoset
@@ -104,29 +102,31 @@ class PosetOCategory:
                 return name
         raise ShapeMismatch(f"poset {p!r} is not registered in the category")
 
-    def token_of_map(self, a: str, b: str, m: MonotoneMap) -> str:
+    def token_of_map(self, a: str, b: str, m: MonotoneMap) -> int:
         try:
-            return _token(self.posets[a], self.posets[b], m)
+            return function_space_maps(self.posets[a], self.posets[b])[1].index(m)
         except ValueError:
-            raise ShapeMismatch(f"map {m!r} is not a token of hom({a},{b})") from None
+            raise ShapeMismatch(f"map {m!r} is not a morphism of hom({a},{b})") from None
 
-    def map_of_token(self, a: str, b: str, t: str) -> MonotoneMap:
-        fs, maps = function_space_maps(self.posets[a], self.posets[b])
-        return maps[fs.index(t)]
+    def map_of_token(self, a: str, b: str, t: int) -> MonotoneMap:
+        if not _is_position(t, self.cat.hom[(a, b)]):
+            raise ShapeMismatch(f"{t!r} is not a position in hom({a},{b})")
+        return function_space_maps(self.posets[a], self.posets[b])[1][t]
 
 
 def build_poset_category(posets: dict) -> PosetOCategory:
     names = tuple(posets)
     hom = {(a, b): function_space_maps(posets[a], posets[b]) for a in names for b in names}
+    pos = {ab: {m: i for i, m in enumerate(maps)} for ab, (_, maps) in hom.items()}
     comp = {}
     for a, b, c in itertools.product(names, repeat=3):
-        (fs_ab, maps_ab), (fs_bc, maps_bc) = hom[(a, b)], hom[(b, c)]
+        maps_ab, maps_bc, pos_ac = hom[(a, b)][1], hom[(b, c)][1], pos[(a, c)]
         comp[(a, b, c)] = {
-            (tf, tg): _token(posets[a], posets[c], compose(mg, mf))
-            for tf, mf in zip(fs_ab.elems, maps_ab)
-            for tg, mg in zip(fs_bc.elems, maps_bc)
+            (f, g): pos_ac[compose(mg, mf)]
+            for f, mf in enumerate(maps_ab)
+            for g, mg in enumerate(maps_bc)
         }
-    ids = {a: _token(posets[a], posets[a], identity(posets[a])) for a in names}
+    ids = {a: pos[(a, a)][identity(posets[a])] for a in names}
     k = FinOCategory(names, {ab: fs for ab, (fs, _) in hom.items()}, comp, ids)
     validate_category(k)
     return PosetOCategory(k, dict(posets))
@@ -138,7 +138,7 @@ def build_poset_category(posets: dict) -> PosetOCategory:
 @dataclass(frozen=True)
 class Presheaf:
     at: dict  # object -> FinPoset
-    act: dict  # (a, b, token f: a->b) -> MonotoneMap at(b) -> at(a)
+    act: dict  # (a, b, position f: a->b) -> MonotoneMap at(b) -> at(a)
 
 
 def validate_presheaf(k: FinOCategory, p: Presheaf) -> None:
@@ -146,8 +146,8 @@ def validate_presheaf(k: FinOCategory, p: Presheaf) -> None:
         if p.act[(a, a, k.ids[a])] != identity(p.at[a]):
             raise InvalidCategory(f"presheaf does not preserve id at {a}")
     for a, b, c in itertools.product(k.objects, repeat=3):
-        for f in k.hom[(a, b)].elems:
-            for g in k.hom[(b, c)].elems:
+        for f in range(len(k.hom[(a, b)])):
+            for g in range(len(k.hom[(b, c)])):
                 gf = k.compose(a, b, c, f, g)
                 lhs = p.act[(a, c, gf)]
                 rhs = compose(p.act[(a, b, f)], p.act[(b, c, g)])
@@ -155,11 +155,9 @@ def validate_presheaf(k: FinOCategory, p: Presheaf) -> None:
                     raise InvalidCategory(f"presheaf action fails at ({f},{g})")
     # local continuity of the action: monotone on each hom-poset
     for a, b in itertools.product(k.objects, repeat=2):
-        hab = k.hom[(a, b)]
-        for f in hab.elems:
-            for g in hab.elems:
-                if hab.le(f, g) and not leq_map(p.act[(a, b, f)], p.act[(a, b, g)]):
-                    raise InvalidCategory(f"presheaf action not monotone at {f} <= {g}")
+        for f, g in _le_pairs(k.hom[(a, b)]):
+            if not leq_map(p.act[(a, b, f)], p.act[(a, b, g)]):
+                raise InvalidCategory(f"presheaf action not monotone at {f} <= {g}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def nat_leq(s: NatTrans, t: NatTrans) -> bool:
 
 def is_natural(k: FinOCategory, p: Presheaf, q: Presheaf, eta: NatTrans) -> bool:
     for a, b in itertools.product(k.objects, repeat=2):
-        for f in k.hom[(a, b)].elems:
+        for f in range(len(k.hom[(a, b)])):
             lhs = compose(eta.components[a], p.act[(a, b, f)])
             rhs = compose(q.act[(a, b, f)], eta.components[b])
             if lhs != rhs:
@@ -192,30 +190,27 @@ def yoneda(k: FinOCategory, x: str) -> Presheaf:
         raise ShapeMismatch(f"unknown object {x!r}")
     at = {a: k.hom[(a, x)] for a in k.objects}
     act = {}
-    for a in k.objects:
-        for b in k.objects:
-            hbx, hax = k.hom[(b, x)], k.hom[(a, x)]
-            for f in k.hom[(a, b)].elems:
-                table = tuple(
-                    hax.index(k.compose(a, b, x, f, g)) for g in hbx.elems
-                )
-                act[(a, b, f)] = MonotoneMap(hbx, hax, table)
+    for a, b in itertools.product(k.objects, repeat=2):
+        hbx, comp = k.hom[(b, x)], k.comp[(a, b, x)]
+        for f in range(len(k.hom[(a, b)])):
+            table = tuple(comp[(f, g)] for g in range(len(hbx)))
+            act[(a, b, f)] = MonotoneMap(hbx, at[a], table)
     p = Presheaf(at, act)
     validate_presheaf(k, p)
     return p
 
 
-def yoneda_mor(k: FinOCategory, x: str, y: str, f: str) -> NatTrans:
+def yoneda_mor(k: FinOCategory, x: str, y: str, f: int) -> NatTrans:
     """Postcomposition with f: x -> y, as a transformation y x => y y."""
-    if f not in k.hom[(x, y)].elems:
-        raise ShapeMismatch(f"unknown token {f!r} in hom({x},{y})")
+    if not _is_position(f, k.hom[(x, y)]):
+        raise ShapeMismatch(f"{f!r} is not a position in hom({x},{y})")
     comps = {}
     for a in k.objects:
-        hax, hay = k.hom[(a, x)], k.hom[(a, y)]
-        table = tuple(hay.index(k.compose(a, x, y, g, f)) for g in hax.elems)
-        comps[a] = MonotoneMap(hax, hay, table)
+        hax, comp = k.hom[(a, x)], k.comp[(a, x, y)]
+        table = tuple(comp[(g, f)] for g in range(len(hax)))
+        comps[a] = MonotoneMap(hax, k.hom[(a, y)], table)
     # naturality of postcomposition follows from associativity, which
-    # validate_category has already checked on every token triple
+    # validate_category has already checked on every triple of morphisms
     return NatTrans(comps)
 
 
@@ -227,41 +222,32 @@ def enumerate_nat_trans(k: FinOCategory, p: Presheaf, q: Presheaf) -> tuple[NatT
         total *= len(ms)
         if total > FAMILY_CAP:
             raise CapExceeded(f"more than {FAMILY_CAP} candidate families")
-    out = []
-    for combo in itertools.product(*per_object):
-        eta = NatTrans(dict(zip(k.objects, combo)))
-        if is_natural(k, p, q, eta):
-            out.append(eta)
-    return tuple(out)
+    etas = (NatTrans(dict(zip(k.objects, combo))) for combo in itertools.product(*per_object))
+    return tuple(eta for eta in etas if is_natural(k, p, q, eta))
 
 
 def check_fully_faithful(k: FinOCategory) -> bool:
     """f |-> y f is an order-isomorphism hom(a,b) ≅ Nat(y a, y b)."""
     ys = {x: yoneda(k, x) for x in k.objects}
-    for a in k.objects:
-        for b in k.objects:
-            hab = k.hom[(a, b)]
-            nats = enumerate_nat_trans(k, ys[a], ys[b])
-            img = {f: yoneda_mor(k, a, b, f) for f in hab.elems}
-            img_comps = {tuple(t.components[x] for x in k.objects) for t in img.values()}
-            if len(img_comps) != len(hab.elems):
-                return False  # not faithful
-            if img_comps != {tuple(t.components[x] for x in k.objects) for t in nats}:
-                return False  # not full
-            for f in hab.elems:
-                for g in hab.elems:
-                    if hab.le(f, g) != nat_leq(img[f], img[g]):
-                        return False  # not an order-iso
+    for a, b in itertools.product(k.objects, repeat=2):
+        hab = k.hom[(a, b)]
+        nats = enumerate_nat_trans(k, ys[a], ys[b])
+        img = [yoneda_mor(k, a, b, f) for f in range(len(hab))]
+        img_comps = {tuple(t.components[x] for x in k.objects) for t in img}
+        if len(img_comps) != len(hab):
+            return False  # not faithful
+        if img_comps != {tuple(t.components[x] for x in k.objects) for t in nats}:
+            return False  # not full
+        img_le = [(f, g) for f, s in enumerate(img) for g, t in enumerate(img) if nat_leq(s, t)]
+        if img_le != _le_pairs(hab):
+            return False  # not an order-iso
     return True
 
 
 def pointwise_lub(chain: list[NatTrans], stab_index: int) -> NatTrans:
     """Componentwise lub of a witnessed increasing chain of transformations."""
-    objs = chain[0].components.keys()
-    comps = {}
-    for a in objs:
-        comps[a] = lub_map_chain([t.components[a] for t in chain], stab_index)
-    return NatTrans(comps)
+    objs = chain[0].components
+    return NatTrans({a: lub_map_chain([t.components[a] for t in chain], stab_index) for a in objs})
 
 
 def verify_proof_step(kctx: PosetOCategory, cocone: Cocone) -> bool:
@@ -273,21 +259,18 @@ def verify_proof_step(kctx: PosetOCategory, cocone: Cocone) -> bool:
     stage_objs = [kctx.object_of_poset(p) for p in cocone.chain.objects]
     stab = cocone.chain.witness
 
+    def y(a: str, b: str, m: MonotoneMap) -> NatTrans:
+        return yoneda_mor(k, a, b, kctx.token_of_map(a, b, m))
+
     # left side: lub downstairs, then yoneda
     es = [compose(leg.l, leg.r) for leg in cocone.legs]
-    lub = lub_map_chain(es, stab)
-    left = yoneda_mor(k, apex_obj, apex_obj, kctx.token_of_map(apex_obj, apex_obj, lub))
+    left = y(apex_obj, apex_obj, lub_map_chain(es, stab))
 
     # right side: yoneda first, then the pointwise lub upstairs
-    terms = []
-    for n, leg in enumerate(cocone.legs):
-        yl = yoneda_mor(
-            k, stage_objs[n], apex_obj, kctx.token_of_map(stage_objs[n], apex_obj, leg.l)
-        )
-        yr = yoneda_mor(
-            k, apex_obj, stage_objs[n], kctx.token_of_map(apex_obj, stage_objs[n], leg.r)
-        )
-        terms.append(nat_compose(yl, yr))
+    terms = [
+        nat_compose(y(s, apex_obj, leg.l), y(apex_obj, s, leg.r))
+        for s, leg in zip(stage_objs, cocone.legs)
+    ]
     right = pointwise_lub(terms, stab)
 
     y_id = yoneda_mor(k, apex_obj, apex_obj, k.ids[apex_obj])
@@ -295,12 +278,18 @@ def verify_proof_step(kctx: PosetOCategory, cocone: Cocone) -> bool:
 
 
 def category_to_json(k: FinOCategory) -> dict:
+    """The wire format, the one place that renders morphisms as the element
+    names of their hom-sets."""
+    name = {ab: p.elems for ab, p in k.hom.items()}
     return {
         "objects": list(k.objects),
         "hom": {f"{a}|{b}": poset_to_json(p) for (a, b), p in k.hom.items()},
         "comp": {
-            f"{a}|{b}|{c}": {f"{f}|{g}": h for (f, g), h in table.items()}
+            f"{a}|{b}|{c}": {
+                f"{name[(a, b)][f]}|{name[(b, c)][g]}": name[(a, c)][h]
+                for (f, g), h in table.items()
+            }
             for (a, b, c), table in k.comp.items()
         },
-        "ids": dict(k.ids),
+        "ids": {a: name[(a, a)][i] for a, i in k.ids.items()},
     }

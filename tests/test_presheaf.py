@@ -1,11 +1,14 @@
 """Finite O-categories, presheaves, the enriched Yoneda checks and the
 proof-step replay."""
+import hashlib
+import json
+
 import pytest
 
 from epsolve.chains import Cocone, OmegaChain, colimit_finite
 from epsolve.demo import embedded_canonical_colimit, two_object_category, yoneda_demo_report
-from epsolve.errors import InvalidCategory
-from epsolve.finposet import chain_poset, compose, identity, one_point
+from epsolve.errors import InvalidCategory, ShapeMismatch
+from epsolve.finposet import chain_poset, compose, flat, identity, one_point
 from epsolve.opairs import Kind, bottom_inclusion_pair, pair_identity
 from epsolve.presheaf import (
     FinOCategory,
@@ -59,19 +62,44 @@ def test_corrupted_composition_rejected(kctx):
     k = kctx.cat
     bad_comp = {key: dict(table) for key, table in k.comp.items()}
     key = ("one", "two", "two")
-    (fg, token), *_ = bad_comp[key].items()
-    other = next(t for t in k.hom[("one", "two")].elems if t != token)
+    (fg, h), *_ = bad_comp[key].items()
+    other = next(t for t in range(len(k.hom[("one", "two")])) if t != h)
     bad_comp[key][fg] = other
     bad = FinOCategory(k.objects, k.hom, bad_comp, k.ids)
     with pytest.raises(InvalidCategory):
         validate_category(bad)
 
 
+def test_identity_not_a_position_rejected(kctx):
+    k = kctx.cat
+    for bad in (-1, len(k.hom[("two", "two")]), True, k.hom[("two", "two")].elems[0]):
+        ids = dict(k.ids, two=bad)
+        with pytest.raises(InvalidCategory):
+            validate_category(FinOCategory(k.objects, k.hom, k.comp, ids))
+
+
+def test_composite_not_a_position_rejected(kctx):
+    k = kctx.cat
+    bad_comp = {key: dict(table) for key, table in k.comp.items()}
+    key = ("one", "two", "two")
+    fg = next(iter(bad_comp[key]))
+    bad_comp[key][fg] = -1
+    with pytest.raises(InvalidCategory):
+        validate_category(FinOCategory(k.objects, k.hom, bad_comp, k.ids))
+
+
+def test_map_of_token_rejects_non_positions(kctx):
+    hom = kctx.cat.hom[("two", "two")]
+    for bad in (-1, len(hom), True, hom.elems[0]):
+        with pytest.raises(ShapeMismatch):
+            kctx.map_of_token("two", "two", bad)
+
+
 def test_token_map_round_trip(kctx):
     k = kctx.cat
     for a in k.objects:
         for b in k.objects:
-            for t in k.hom[(a, b)].elems:
+            for t in range(len(k.hom[(a, b)])):
                 m = kctx.map_of_token(a, b, t)
                 assert kctx.token_of_map(a, b, m) == t
 
@@ -120,8 +148,8 @@ def test_yoneda_mor_respects_composition(kctx):
     for a in k.objects:
         for b in k.objects:
             for c in k.objects:
-                for f in k.hom[(a, b)].elems:
-                    for g in k.hom[(b, c)].elems:
+                for f in range(len(k.hom[(a, b)])):
+                    for g in range(len(k.hom[(b, c)])):
                         gf = k.compose(a, b, c, f, g)
                         lhs = yoneda_mor(k, a, c, gf)
                         rhs = nat_compose(yoneda_mor(k, b, c, g), yoneda_mor(k, a, b, f))
@@ -133,17 +161,25 @@ def test_yoneda_mor_monotone(kctx):
     for a in k.objects:
         for b in k.objects:
             hom = k.hom[(a, b)]
-            for f in hom.elems:
-                for g in hom.elems:
-                    if hom.le(f, g):
+            for f, row in enumerate(hom.up):
+                for g in range(len(hom)):
+                    if row >> g & 1:
                         assert nat_leq(yoneda_mor(k, a, b, f), yoneda_mor(k, a, b, g))
 
 
 def test_yoneda_mor_is_natural(kctx):
     k = kctx.cat
-    for f in k.hom[("one", "two")].elems:
+    for f in range(len(k.hom[("one", "two")])):
         eta = yoneda_mor(k, "one", "two", f)
         assert is_natural(k, yoneda(k, "one"), yoneda(k, "two"), eta)
+
+
+def test_yoneda_mor_rejects_non_positions(kctx):
+    k = kctx.cat
+    hom = k.hom[("one", "two")]
+    for bad in (-1, len(hom), True, hom.elems[0]):
+        with pytest.raises(ShapeMismatch):
+            yoneda_mor(k, "one", "two", bad)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +221,7 @@ def test_pointwise_lub_two_term_chain(kctx):
     k = kctx.cat
     # const-⊥ endomap of the 2-chain sits below the identity in hom(two,two)
     hom = k.hom[("two", "two")]
-    bot = hom.bottom
+    bot = hom.bot
     lo = yoneda_mor(k, "two", "two", bot)
     hi = yoneda_mor(k, "two", "two", k.ids["two"])
     assert pointwise_lub([lo, hi], 1) == hi
@@ -228,3 +264,19 @@ def test_demo_report_shape():
 def test_category_json_shape(kctx):
     payload = category_to_json(kctx.cat)
     assert set(payload["objects"]) == {"one", "two"}
+
+
+#: sha256 of json.dumps(category_to_json(...), sort_keys=True), the names
+#: rendered from positions
+GOLDEN_CATEGORIES = {
+    "one,two": "486516f2f9e993e0784be943f90a3021651dc3d5580f872d13b15f153a7e1c35",
+    "one,two,three,flat": "c113351f74dfb4c7ede43f126b78aa39a83218ead948c0e0318a8022f1554990",
+}
+
+
+@pytest.mark.parametrize("objects", GOLDEN_CATEGORIES)
+def test_category_json_golden(objects):
+    posets = {"one": one_point(), "two": chain_poset(2), "three": chain_poset(3), "flat": flat(2)}
+    kc = build_poset_category({name: posets[name] for name in objects.split(",")})
+    raw = json.dumps(category_to_json(kc.cat), sort_keys=True).encode()
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_CATEGORIES[objects]
