@@ -232,6 +232,8 @@ def is_colimiting_by_enumeration(k: Cocone) -> bool:
     the full enumerated pair hom-set; cross-checked against the forced-
     candidate shortcut in the test suite."""
     canon = colimit_finite(k.chain)
+    if canon.kind != k.kind:  # a chain with no links reports EP; its one leg is an identity
+        canon = Cocone(k.chain, pair_identity(canon.apex, k.kind))
     for u in enumerate_pairs(canon.apex, k.apex, k.kind):
         if not is_iso_pair(u):
             continue

@@ -54,10 +54,12 @@ NAMED_POSETS: dict[str, FinPoset] = {
 
 
 class EquationSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} at line {line}, column {column}")
-        self.line = line
-        self.column = column
+    """An error at a 0-based offset into the text, reported by line and column."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.column = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{message} at line {self.line}, column {self.column}")
 
 
 @dataclass(frozen=True)
@@ -70,20 +72,24 @@ class EquationSpec:
 
 _TOKEN_RE = re.compile(r"\s*(=|\+|\(|\)|,|[A-Za-z0-9_\-*]+)")
 
+#: the combinators' names in the concrete syntax, as FunctorExpr.__str__ prints them
+_COMBINATORS = {cls.__name__.lower(): cls for cls in (Lift, Sum, Prod, Fun, Compose)}
+
 
 def _tokenize(text: str):
+    """(token, offset) pairs, then (None, len(text)) to mark the end."""
     tokens = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             stripped = text[pos:].lstrip()
-            col = len(text) - len(stripped) + 1
-            raise EquationSyntaxError(f"unexpected character {stripped[0]!r}", 1, col)
+            offset = len(text) - len(stripped)
+            raise EquationSyntaxError(f"unexpected character {stripped[0]!r}", text, offset)
         if m.group(1):
-            tokens.append((m.group(1), m.start(1) + 1))
+            tokens.append((m.group(1), m.start(1)))
         pos = m.end()
-    tokens.append((None, len(text) + 1))  # end marker
+    tokens.append((None, len(text)))
     return tokens
 
 
@@ -96,24 +102,32 @@ class _Parser:
     def peek(self):
         return self.tokens[self.i][0]
 
-    def col(self):
-        return self.tokens[self.i][1]
+    def error(self, message: str) -> EquationSyntaxError:
+        """The error at the next token."""
+        return EquationSyntaxError(message, self.text, self.tokens[self.i][1])
 
-    def take(self, expected=None):
-        tok, col = self.tokens[self.i]
-        if expected is not None and tok != expected:
-            shown = tok if tok is not None else "end of input"
-            raise EquationSyntaxError(f"expected {expected!r}, found {shown!r}", 1, col)
+    def expected(self, what: str) -> EquationSyntaxError:
+        tok = self.peek()
+        return self.error(f"expected {what}, found {tok if tok is not None else 'end of input'!r}")
+
+    def take(self, want=None):
+        tok = self.peek()
+        if want is not None and tok != want:
+            raise self.expected(repr(want))
         self.i += 1
         return tok
 
     def parse_equation(self) -> FunctorExpr:
         self.take("D")
         self.take("=")
-        body = self.parse_expr()
+        return self.parse_whole()
+
+    def parse_whole(self) -> FunctorExpr:
+        """An expression that runs to the end of the input."""
+        out = self.parse_expr()
         if self.peek() is not None:
-            raise EquationSyntaxError(f"trailing input {self.peek()!r}", 1, self.col())
-        return body
+            raise self.error(f"trailing input {self.peek()!r}")
+        return out
 
     def parse_expr(self) -> FunctorExpr:
         out = self.parse_term()
@@ -124,34 +138,30 @@ class _Parser:
 
     def parse_term(self) -> FunctorExpr:
         tok = self.peek()
-        col = self.col()
         if tok == "D":
             self.take()
             return Id()
         if tok in ("unit", "1"):
             self.take()
             return Const(one_point(), "unit")
-        if tok == "lift":
-            self.take()
+        if tok in _COMBINATORS:
+            cls = _COMBINATORS[self.take()]
             self.take("(")
-            arg = self.parse_expr()
+            args = [self.parse_expr()]
+            for _ in cls.__match_args__[1:]:
+                self.take(",")
+                args.append(self.parse_expr())
             self.take(")")
-            return Lift(arg)
-        if tok in ("sum", "prod", "fun", "compose"):
-            self.take()
-            self.take("(")
-            a = self.parse_expr()
-            self.take(",")
-            b = self.parse_expr()
-            self.take(")")
-            return {"sum": Sum, "prod": Prod, "fun": Fun, "compose": Compose}[tok](a, b)
+            return cls(*args)
         if tok == "const":
             self.take()
             self.take("(")
-            name_col = self.col()
-            name = self.take()
+            name = self.peek()
+            if name in (None, "=", "+", "(", ")", ","):
+                raise self.expected("a poset name")
             if name not in NAMED_POSETS:
-                raise EquationSyntaxError(f"unknown poset name {name!r}", 1, name_col)
+                raise self.error(f"unknown poset name {name!r}")
+            self.take()
             self.take(")")
             return Const(NAMED_POSETS[name], name)
         if tok == "(":
@@ -159,17 +169,12 @@ class _Parser:
             out = self.parse_expr()
             self.take(")")
             return out
-        shown = tok if tok is not None else "end of input"
-        raise EquationSyntaxError(f"expected a functor term, found {shown!r}", 1, col)
+        raise self.expected("a functor term")
 
 
 def parse_functor(text: str) -> FunctorExpr:
     """Parse a bare functor expression (no 'D =' prefix)."""
-    p = _Parser(text)
-    out = p.parse_expr()
-    if p.peek() is not None:
-        raise EquationSyntaxError(f"trailing input {p.peek()!r}", 1, p.col())
-    return out
+    return _Parser(text).parse_whole()
 
 
 def parse_equation(text: str, depth: int = 4, elem_cap: int = DEFAULT_ELEM_CAP) -> EquationSpec:

@@ -301,10 +301,11 @@ def one_point() -> FinPoset:
 
 @cache
 def chain_poset(n: int) -> FinPoset:
-    """Total order v0 < v1 < ... < v{n-1} with v0 as bottom."""
+    """Total order v0 < v1 < ... < v{n-1} with v0 as bottom; the empty
+    chain, like antichain(0), has none."""
     elems = tuple(f"v{i}" for i in range(n))
     full = (1 << n) - 1
-    return FinPoset(elems, tuple(full >> i << i for i in range(n)), 0)
+    return FinPoset(elems, tuple(full >> i << i for i in range(n)), 0 if n else None)
 
 
 @cache
@@ -495,6 +496,44 @@ def function_space_maps(
 
 def function_space(p: FinPoset, q: FinPoset, cap: int = DEFAULT_ELEM_CAP) -> FinPoset:
     return function_space_maps(p, q, cap)[0]
+
+
+# ---------------------------------------------------------------------------
+# the constructions' action on maps, on the element layouts above
+
+def lift_map(f: MonotoneMap) -> MonotoneMap:
+    dom, cod = lift(f.dom), lift(f.cod)
+    # slot 0 is the fresh bottom in both; old elements shift by one
+    return MonotoneMap(dom, cod, (0,) + tuple(v + 1 for v in f.table))
+
+
+def prod_map(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
+    dom, cod = product(f.dom, g.dom), product(f.cod, g.cod)
+    nq, mq = len(g.dom), len(g.cod)
+    table = tuple(
+        f.table[i] * mq + g.table[j] for i in range(len(f.dom)) for j in range(nq)
+    )
+    return MonotoneMap(dom, cod, table)
+
+
+def sum_map(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
+    dom, cod = coproduct(f.dom, g.dom), coproduct(f.cod, g.cod)
+    np_ = len(f.cod)
+    table = (0,) + tuple(v + 1 for v in f.table) + tuple(v + 1 + np_ for v in g.table)
+    return MonotoneMap(dom, cod, table)
+
+
+def fun_map(pre: MonotoneMap, post: MonotoneMap, cap: int = DEFAULT_ELEM_CAP) -> MonotoneMap:
+    """h ↦ post∘h∘pre, from the function space pre.cod -> post.dom to the
+    function space pre.dom -> post.cod, which are built in that order.  On
+    tables (post∘h∘pre)(x) = post[h[pre[x]]], and each image is found by its
+    position among the target's maps."""
+    dom, maps = function_space_maps(pre.cod, post.dom, cap)
+    cod, targets = function_space_maps(pre.dom, post.cod, cap)
+    pos = {m.table: i for i, m in enumerate(targets)}
+    a, b = pre.table, post.table
+    table = tuple(pos[tuple(b[h[x]] for x in a)] for h in (m.table for m in maps))
+    return MonotoneMap(dom, cod, table)
 
 
 # ---------------------------------------------------------------------------

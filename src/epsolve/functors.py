@@ -23,22 +23,34 @@ from .finposet import (
     FinPoset,
     Interned,
     MonotoneMap,
-    coproduct,
-    function_space_maps,
+    fun_map,
     identity,
     leq_map,
-    lift,
+    lift_map,
     monotone_maps,
-    product,
+    prod_map,
+    sum_map,
 )
-from .opairs import DEFAULT_PAIR_CAP, Kind, PairHom, enumerate_pairs, pair_compose, pair_identity, pair_leq
+from .opairs import Kind, PairHom, enumerate_pairs, pair_compose, pair_identity, pair_leq
+
+#: cap on the monotone maps a -> b that check_local_continuity enumerates
+CONTINUITY_MAP_CAP = 64
 
 
 class FunctorExpr(metaclass=Interned):
     """Base class for functor syntax trees.  Nodes are interned like posets,
-    so equal trees are one object and `==` and `hash` are identity."""
+    so equal trees are one object and `==` and `hash` are identity.  A
+    combinator prints as its lower-cased class name over its fields, which
+    is the concrete syntax the parser reads back."""
 
     __slots__ = ()
+
+    def __str__(self):
+        return f"{type(self).__name__.lower()}({','.join(map(str, _fields(self)))})"
+
+
+def _fields(e: FunctorExpr) -> list:
+    return [getattr(e, name) for name in e.__match_args__]
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,26 +72,17 @@ class Const(FunctorExpr):
 class Lift(FunctorExpr):
     arg: FunctorExpr
 
-    def __str__(self):
-        return f"lift({self.arg})"
-
 
 @dataclass(frozen=True, eq=False)
 class Prod(FunctorExpr):
     fst: FunctorExpr
     snd: FunctorExpr
 
-    def __str__(self):
-        return f"prod({self.fst},{self.snd})"
-
 
 @dataclass(frozen=True, eq=False)
 class Sum(FunctorExpr):
     fst: FunctorExpr
     snd: FunctorExpr
-
-    def __str__(self):
-        return f"sum({self.fst},{self.snd})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,56 +92,20 @@ class Fun(FunctorExpr):
     arg: FunctorExpr
     res: FunctorExpr
 
-    def __str__(self):
-        return f"fun({self.arg},{self.res})"
-
 
 @dataclass(frozen=True, eq=False)
 class Compose(FunctorExpr):
     outer: FunctorExpr
     inner: FunctorExpr
 
-    def __str__(self):
-        return f"compose({self.outer},{self.inner})"
-
 
 def has_fun(e: FunctorExpr) -> bool:
-    match e:
-        case Fun():
-            return True
-        case Lift(arg):
-            return has_fun(arg)
-        case Prod(a, b) | Sum(a, b) | Compose(a, b):
-            return has_fun(a) or has_fun(b)
-        case _:
-            return False
+    return isinstance(e, Fun) or any(isinstance(c, FunctorExpr) and has_fun(c) for c in _fields(e))
 
 
 def _check_size(n: int, elem_cap: int) -> None:
     if n > elem_cap:
         raise CapExceeded(f"object of size {n} exceeds cap {elem_cap}")
-
-
-def lift_map(f: MonotoneMap) -> MonotoneMap:
-    dom, cod = lift(f.dom), lift(f.cod)
-    # slot 0 is the fresh bottom in both; old elements shift by one
-    return MonotoneMap(dom, cod, (0,) + tuple(v + 1 for v in f.table))
-
-
-def prod_map(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
-    dom, cod = product(f.dom, g.dom), product(f.cod, g.cod)
-    nq, mq = len(g.dom), len(g.cod)
-    table = tuple(
-        f.table[i] * mq + g.table[j] for i in range(len(f.dom)) for j in range(nq)
-    )
-    return MonotoneMap(dom, cod, table)
-
-
-def sum_map(f: MonotoneMap, g: MonotoneMap) -> MonotoneMap:
-    dom, cod = coproduct(f.dom, g.dom), coproduct(f.cod, g.cod)
-    np_ = len(f.cod)
-    table = (0,) + tuple(v + 1 for v in f.table) + tuple(v + 1 + np_ for v in g.table)
-    return MonotoneMap(dom, cod, table)
 
 
 def apply_mor(e: FunctorExpr, f: MonotoneMap) -> MonotoneMap:
@@ -186,20 +153,9 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
             out = PairHom(f.kind, sum_map(ga.l, gb.l), sum_map(ga.r, gb.r))
         case Fun(a, b):
+            # h ↦ gb.l∘h∘ga.r and k ↦ gb.r∘k∘ga.l
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
-            dom_fs, dom_maps = function_space_maps(ga.src, gb.src, elem_cap)
-            cod_fs, cod_maps = function_space_maps(ga.tgt, gb.tgt, elem_cap)
-            # on tables, (gb.l ∘ h ∘ ga.r)(x) = gb.l[h[ga.r[x]]], and dually for r
-            dom_pos = {m.table: i for i, m in enumerate(dom_maps)}
-            cod_pos = {m.table: i for i, m in enumerate(cod_maps)}
-            al, ar, bl, br = ga.l.table, ga.r.table, gb.l.table, gb.r.table
-            l_table = tuple(cod_pos[tuple(bl[h[x]] for x in ar)] for h in dom_pos)
-            r_table = tuple(dom_pos[tuple(br[k[x]] for x in al)] for k in cod_pos)
-            out = PairHom(
-                f.kind,
-                MonotoneMap(dom_fs, cod_fs, l_table),
-                MonotoneMap(cod_fs, dom_fs, r_table),
-            )
+            out = PairHom(f.kind, fun_map(ga.r, gb.l, elem_cap), fun_map(ga.l, gb.r, elem_cap))
         case Compose(outer, inner):
             out = pr_apply_mor(outer, pr_apply_mor(inner, f, elem_cap), elem_cap)
         case _:
@@ -241,7 +197,7 @@ def check_local_continuity(e: FunctorExpr, a: FinPoset, b: FinPoset, kind: Kind 
     pair order.
     """
     if not has_fun(e):
-        maps = monotone_maps(a, b, DEFAULT_PAIR_CAP)
+        maps = monotone_maps(a, b, CONTINUITY_MAP_CAP)
         images = {f: apply_mor(e, f) for f in maps}
         for f in maps:
             for g in maps:

@@ -22,10 +22,6 @@ from .finposet import (
     map_to_json,
 )
 
-#: cap on the monotone maps a -> b that check_local_continuity enumerates
-DEFAULT_PAIR_CAP = 64
-
-
 class Kind(str, enum.Enum):
     EP = "EP"
     ADJ = "ADJ"

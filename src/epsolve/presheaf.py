@@ -20,6 +20,7 @@ from .finposet import (
     FinPoset,
     MonotoneMap,
     compose,
+    fun_map,
     function_space_maps,
     identity,
     leq_map,
@@ -117,16 +118,16 @@ class PosetOCategory:
 def build_poset_category(posets: dict) -> PosetOCategory:
     names = tuple(posets)
     hom = {(a, b): function_space_maps(posets[a], posets[b]) for a in names for b in names}
-    pos = {ab: {m: i for i, m in enumerate(maps)} for ab, (_, maps) in hom.items()}
     comp = {}
     for a, b, c in itertools.product(names, repeat=3):
-        maps_ab, maps_bc, pos_ac = hom[(a, b)][1], hom[(b, c)][1], pos[(a, c)]
+        # row f is precomposition with f, hom(b, c) -> hom(a, c), on positions
+        ident = identity(posets[c])
         comp[(a, b, c)] = {
-            (f, g): pos_ac[compose(mg, mf)]
-            for f, mf in enumerate(maps_ab)
-            for g, mg in enumerate(maps_bc)
+            (f, g): h
+            for f, mf in enumerate(hom[(a, b)][1])
+            for g, h in enumerate(fun_map(mf, ident).table)
         }
-    ids = {a: pos[(a, a)][identity(posets[a])] for a in names}
+    ids = {a: hom[(a, a)][1].index(identity(posets[a])) for a in names}
     k = FinOCategory(names, {ab: fs for ab, (fs, _) in hom.items()}, comp, ids)
     validate_category(k)
     return PosetOCategory(k, dict(posets))

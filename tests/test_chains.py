@@ -334,6 +334,16 @@ def test_counterexample_not_colimiting():
     assert not is_colimiting_by_enumeration(counterexample_cocone())
 
 
+@pytest.mark.parametrize("kind", [Kind.EP, Kind.ADJ])
+def test_enumeration_agrees_on_one_object_cocones(kind):
+    # a chain with no links reports kind EP, whatever the cocone's kind
+    d = OmegaChain((two(),), (), 0)
+    for final in enumerate_pairs(two(), chain_poset(3), kind):
+        k = Cocone(d, final)
+        assert is_colimiting(k) == is_colimiting_by_enumeration(k)
+    assert is_colimiting_by_enumeration(Cocone(d, pair_identity(two(), kind)))
+
+
 def test_transport_along_iso_stays_colimiting():
     canon = colimit_finite(n1_chain())
     isos = [u for u in enumerate_pairs(two(), two(), Kind.EP) if compose(u.r, u.l) == identity(two()) and compose(u.l, u.r) == identity(two())]

@@ -125,15 +125,15 @@ def test_solve_cap_exits_stay_where_they_are(body, where, capsys):
 
 
 def test_solve_product_sized_before_it_is_built(monkeypatch, capsys):
-    import epsolve.functors as functors
+    import epsolve.finposet as finposet
 
-    real_product = functors.product
+    real_product = finposet.product
 
     def guarded(p, q):
         assert len(p) * len(q) <= DEFAULT_ELEM_CAP, "product built past the cap"
         return real_product(p, q)
 
-    monkeypatch.setattr(functors, "product", guarded)
+    monkeypatch.setattr(finposet, "product", guarded)
     body = "D = prod(lift(lift(lift(D))),lift(lift(lift(D))))"
     assert main(["solve", body, "--depth", "3"]) == 2
     assert "object of size 132496 exceeds cap 512" in capsys.readouterr().err

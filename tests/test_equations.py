@@ -22,6 +22,7 @@ from epsolve.equations import (
 from epsolve.errors import CapExceeded
 from epsolve.functors import Compose, Const, Fun, Id, Lift, Prod, Sum, has_fun
 from epsolve.finposet import one_point
+from epsolve.suite import functor_family
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,29 @@ def test_unterminated_call_errors_at_column_10():
 def test_unknown_poset_name_rejected():
     with pytest.raises(EquationSyntaxError):
         parse_equation("D = const(5-chain)")
+
+
+def test_error_position_counts_lines():
+    with pytest.raises(EquationSyntaxError) as exc:
+        parse_equation("D = lift(D)\n  + x(")
+    assert (exc.value.line, exc.value.column) == (2, 5)
+    assert str(exc.value) == "expected a functor term, found 'x' at line 2, column 5"
+
+
+@pytest.mark.parametrize("text,found", [("D = const()", "')'"), ("D = const(", "'end of input'")])
+def test_const_without_a_name_asks_for_one(text, found):
+    with pytest.raises(EquationSyntaxError) as exc:
+        parse_equation(text)
+    assert str(exc.value) == f"expected a poset name, found {found} at line 1, column 11"
+
+
+def test_printed_functors_parse_back_to_themselves():
+    """The one concrete syntax: str prints what the parser reads."""
+    consts = [(NAMED_POSETS[name], name) for name in ("1", "2-chain", "diamond", "flat2")]
+    family = functor_family(2, consts)
+    assert len(family) == 110
+    for e in family:
+        assert parse_functor(str(e)) is e
 
 
 def test_trailing_input_rejected():

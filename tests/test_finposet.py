@@ -27,6 +27,7 @@ from epsolve.finposet import (
     coproduct,
     diamond,
     flat,
+    fun_map,
     function_space,
     function_space_maps,
     identity,
@@ -349,6 +350,8 @@ def test_catalog_shapes():
     assert len(diamond()) == 4
     assert len(flat(2)) == 3
     assert antichain(2).bottom is None
+    # the empty chain, like the empty antichain, has no bottom to point at
+    assert validate_poset(chain_poset(0)) is None and chain_poset(0).bottom is None
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +635,21 @@ def test_monotone_maps_order_and_every_cap(p, q):
 def test_function_space_rows_match_leq_map(p, q):
     fs, maps = function_space_maps(p, q, cap=len(q) ** len(p))
     assert fs.up == tuple(sum(1 << k for k, g in enumerate(maps) if leq_map(f, g)) for f in maps)
+
+
+@pytest.mark.parametrize("p,q,r,s", [
+    (two(), three(), flat(2), two()),
+    (one_point(), two(), two(), diamond()),
+    (diamond(), two(), three(), one_point()),
+])
+def test_fun_map_is_pre_and_post_composition(p, q, r, s):
+    """Entry i of fun_map(pre, post) is the position of post∘maps[i]∘pre."""
+    maps, targets = function_space_maps(q, r)[1], function_space_maps(p, s)[1]
+    for pre in monotone_maps(p, q):
+        for post in monotone_maps(r, s):
+            f = fun_map(pre, post)
+            assert (f.dom, f.cod) == (function_space(q, r), function_space(p, s))
+            assert f.table == tuple(targets.index(compose(post, compose(m, pre))) for m in maps)
 
 
 def test_function_space_maps_aligned():

@@ -89,12 +89,12 @@ def test_apply_obj_cap():
 
 
 def test_apply_obj_sizes_product_before_building(monkeypatch):
-    import epsolve.functors as functors
+    import epsolve.finposet as finposet
 
     def unreachable(p, q):
         raise AssertionError(f"product of {len(p)}x{len(q)} built past the cap")
 
-    monkeypatch.setattr(functors, "product", unreachable)
+    monkeypatch.setattr(finposet, "product", unreachable)
     with pytest.raises(CapExceeded, match="object of size 1600 exceeds cap 512"):
         apply_obj(Prod(Id(), Id()), chain_poset(40), elem_cap=512)
 
