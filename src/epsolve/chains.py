@@ -9,6 +9,7 @@ approximants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import ne
 
 from .errors import ShapeMismatch, WitnessError
 from .finposet import (
@@ -157,15 +158,23 @@ def colimit_finite(d: OmegaChain) -> Cocone:
 
 
 def _defects(maps: list[MonotoneMap], target: MonotoneMap) -> tuple[int, ...]:
-    """Per map, the number of elements where it differs from target."""
-    return tuple(sum(1 for a, b in zip(m.table, target.table) if a != b) for m in maps)
+    """Per map, the number of elements where it differs from target; once per run."""
+    counts, last = [], None
+    for m in maps:
+        if m is not last:
+            last, n = m, sum(map(ne, m.table, target.table))
+        counts.append(n)
+    return tuple(counts)
 
 
 def _apex_condition(k: Cocone) -> tuple[bool, tuple[int, ...]]:
     """Whether the lub of the round trips c_n^L ∘ c_n^R is the apex identity,
     and each round trip's defect against that identity.  A Cocone commutes
     over a checked chain, so these increase and are constant from the
-    witness on, as are the inner round trips of the ADJ check."""
+    witness on, as are the inner round trips of the ADJ check.  Maps are
+    interned and every FinPoset is reflexive, so `lub_map_chain` and
+    `_defects` may read a run of one term once, exactly; by antisymmetry,
+    the equal terms of an increasing chain form one run."""
     es = [compose(leg.l, leg.r) for leg in k.legs]
     lub = lub_map_chain(es, k.chain.witness)
     ident = identity(k.apex)

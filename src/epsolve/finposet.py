@@ -404,7 +404,8 @@ def lub_map_chain(terms: list[MonotoneMap], stab_index: int) -> MonotoneMap:
     if not 0 <= stab_index < len(terms):
         raise WitnessError(f"stab_index {stab_index} out of range")
     for i in range(len(terms) - 1):
-        if not leq_map(terms[i], terms[i + 1]):
+        # x <= x in a (reflexive) FinPoset, and a repeated term is one interned object
+        if terms[i] is not terms[i + 1] and not leq_map(terms[i], terms[i + 1]):
             raise WitnessError(f"chain not increasing at index {i}")
     w = terms[stab_index]
     for j in range(stab_index + 1, len(terms)):

@@ -72,6 +72,24 @@ def test_p7_scale(results):
     assert results["P7"][0].cases == 50
 
 
+def test_witnessed_lubs_never_test_a_map_against_itself(monkeypatch):
+    # every witnessed lub the suite takes goes through finposet's
+    # lub_map_chain, which reads a run of one interned term once
+    from epsolve import finposet
+
+    pairs = []
+    real = finposet.leq_map
+
+    def recording(f, g):
+        pairs.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(finposet, "leq_map", recording)
+    assert all(r.passed for r in run_all(seed=0, chain_count=50))
+    assert pairs
+    assert not [f for f, g in pairs if f is g]
+
+
 def _recording_images(monkeypatch, suite):
     """Patch suite.image_cocone to log ((functor, chain), image) per image built."""
     real, log = suite.image_cocone, []

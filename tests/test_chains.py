@@ -29,7 +29,15 @@ from epsolve.chains import (
 from epsolve import finposet
 from epsolve.equations import iterate, parse_equation
 from epsolve.errors import ShapeMismatch, WitnessError
-from epsolve.finposet import chain_poset, compose, flat, identity, one_point
+from epsolve.finposet import (
+    chain_poset,
+    compose,
+    flat,
+    identity,
+    leq_map,
+    monotone_maps,
+    one_point,
+)
 from epsolve.opairs import (
     Kind,
     PairHom,
@@ -40,7 +48,7 @@ from epsolve.opairs import (
     pair_identity,
     pair_inverse,
 )
-from epsolve.suite import counterexample_cocone, random_chain
+from epsolve.suite import apex_catalog, cocones_over, counterexample_cocone, random_chain
 
 
 def two():
@@ -320,6 +328,56 @@ def test_defects_non_increasing_on_random_cocones(seed):
     for a, b in zip(report.defects, report.defects[1:]):
         assert a >= b
     assert report.defects[min(d.stab_index, len(report.defects) - 1)] == 0
+
+
+def _brute_lub(terms):
+    """The least upper bound of `terms` among all monotone maps of their
+    hom-set, found by brute force as P7 finds it."""
+    hom = monotone_maps(terms[0].dom, terms[0].cod)
+    ubs = [u for u in hom if all(leq_map(t, u) for t in terms)]
+    least = [u for u in ubs if all(leq_map(u, v) for v in ubs)]
+    assert len(least) == 1
+    return least[0]
+
+
+def _elementwise_defects(terms, target):
+    return tuple(sum(t(e) != target(e) for e in target.dom.elems) for t in terms)
+
+
+def reference_ld(k: Cocone):
+    """(verdict, defects, adj_residuals) straight from the definitions: one
+    round trip per leg by `compose`, lubs by brute force, defects element by
+    element, and the ADJ rows from the link-composite round trips."""
+    es = [compose(leg.l, leg.r) for leg in k.legs]
+    ident = identity(k.apex)
+    verdict = _brute_lub(es) == ident
+    defects = _elementwise_defects(es, ident)
+    if k.kind == Kind.EP:
+        return verdict, defects, None
+    last = len(k.chain.objects) - 1
+    rows = []
+    for n, leg in enumerate(k.legs):
+        target = compose(leg.r, leg.l)
+        composites = [link_composite(k.chain, n, m) for m in range(n, last + 1)]
+        ts = [compose(c.r, c.l) for c in composites]
+        verdict = _brute_lub(ts) == target and verdict
+        rows.append(_elementwise_defects(ts, target))
+    return verdict, defects, tuple(rows)
+
+
+@pytest.mark.parametrize("kind", [Kind.EP, Kind.ADJ], ids=["EP", "ADJ"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ld_checker_matches_the_reference(seed, kind):
+    rng = random.Random(seed)
+    cases = 0
+    for _ in range(20):
+        d = random_chain(rng, kind, 4, 5)
+        for k in cocones_over(d, apex_catalog() + (d.objects[d.stab_index],)):
+            report = check_local_determination(k)
+            assert report.kind == kind
+            assert (report.verdict, report.defects, report.adj_residuals) == reference_ld(k)
+            cases += 1
+    assert cases >= 20
 
 
 # ---------------------------------------------------------------------------

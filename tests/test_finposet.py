@@ -453,6 +453,37 @@ def test_lub_rejects_false_witness():
         lub_map_chain([cb, identity(two())], 0)
 
 
+def test_lub_of_a_repeated_term_tests_no_order(monkeypatch):
+    # every poset is reflexive and maps are interned: a run of one term
+    # needs no order test
+    from epsolve import finposet
+
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return leq_map(f, g)
+
+    monkeypatch.setattr(finposet, "leq_map", counting)
+    f = const_map(two(), two(), "v0")
+    assert lub_map_chain([f, f, f], 0) is f
+    assert calls == []
+
+
+def test_lub_rejects_a_drop_between_runs():
+    g, f = const_map(two(), two(), "v1"), const_map(two(), two(), "v0")
+    assert not leq_map(g, f)
+    with pytest.raises(WitnessError, match=r"^chain not increasing at index 1$"):
+        lub_map_chain([g, g, f, f], 3)
+
+
+def test_lub_rejects_a_false_witness_after_a_run():
+    f, g = const_map(two(), two(), "v0"), identity(two())
+    assert leq_map(f, g)
+    with pytest.raises(WitnessError, match=r"^stabilization witness fails at index 2$"):
+        lub_map_chain([f, f, g], 0)
+
+
 def test_lub_rejects_empty_chain():
     with pytest.raises(WitnessError, match="empty chain"):
         lub_map_chain([], 0)
