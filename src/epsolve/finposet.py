@@ -90,11 +90,19 @@ class FinPoset(metaclass=Interned):
     element i <= element j, and `bot` is the bottom's position or None.
     `names` is the user's tuple of element names or a constructor term,
     ("lift", p), ("sum", p, q), ("prod", p, q) or ("fun", p, q, maps), whose
-    names `_render` builds when `elems` is first read."""
+    names `_render` builds when `elems` is first read.  A user-named poset
+    is checked when built and raises InvalidPoset naming the first failed
+    axiom; a term's rows come from valid children and are not checked."""
 
     names: tuple
     up: tuple[int, ...]
     bot: int | None = None
+
+    def __post_init__(self):
+        if not _is_term(self.names):
+            v = _violation(self.names, self.up, self.bot)
+            if v is not None:
+                raise InvalidPoset(v)
 
     @cached_property
     def elems(self) -> tuple[str, ...]:
@@ -254,40 +262,40 @@ def _checked(elems: tuple[str, ...], up: tuple[int, ...], bottom: str | None) ->
     """The poset on user names whose bottom is given by name; InvalidPoset
     names the first violation, the bottom's last."""
     p = FinPoset(elems, up, elems.index(bottom) if bottom in elems else None)
-    v = validate_poset(p)
-    if v is None and bottom is not None and p.bot is None:
-        v = Violation("bottom-membership", (bottom,))
-    if v is not None:
-        raise InvalidPoset(v)
+    if bottom is not None and p.bot is None:
+        raise InvalidPoset(Violation("bottom-membership", (bottom,)))
     return p
 
 
 def validate_poset(p: FinPoset) -> Violation | None:
     """Check all poset axioms; return the first violation or None."""
-    up, elems = p.up, p.elems
+    return _violation(p.elems, p.up, p.bot)
+
+
+def _violation(elems: tuple, up: tuple[int, ...], bot: int | None) -> Violation | None:
+    """The first poset axiom that the names, up rows and bottom position fail."""
     n = len(up)
     if len(set(elems)) < len(elems):
         return Violation("distinct-elems", (next(e for i, e in enumerate(elems) if e in elems[:i]),))
     full = (1 << n) - 1
-    if len(elems) != n or any(row & ~full for row in up) or not (p.bot is None or 0 <= p.bot < n):
+    if len(elems) != n or any(row & ~full for row in up) or not (bot is None or 0 <= bot < n):
         return Violation("shape", ())
     for i in range(n):
         if not up[i] >> i & 1:
             return Violation("reflexivity", (elems[i],))
-    down = p.down
     for i in range(n):
-        both = up[i] & down[i] & ~(1 << i)
-        if both:
-            return Violation("antisymmetry", (elems[i], elems[_ones(both)[0]]))
+        for j in _ones(up[i] & ~(1 << i)):
+            if up[j] >> i & 1:
+                return Violation("antisymmetry", (elems[i], elems[j]))
     for i in range(n):
         for j in _ones(up[i]):
             missed = up[j] & ~up[i]
             if missed:
                 return Violation("transitivity", (elems[i], elems[j], elems[_ones(missed)[0]]))
-    if p.bot is not None:
-        below = full & ~up[p.bot]
+    if bot is not None:
+        below = full & ~up[bot]
         if below:
-            return Violation("bottom-least", (elems[p.bot], elems[_ones(below)[0]]))
+            return Violation("bottom-least", (elems[bot], elems[_ones(below)[0]]))
     return None
 
 
@@ -404,7 +412,7 @@ def lub_map_chain(terms: list[MonotoneMap], stab_index: int) -> MonotoneMap:
     if not 0 <= stab_index < len(terms):
         raise WitnessError(f"stab_index {stab_index} out of range")
     for i in range(len(terms) - 1):
-        # x <= x in a (reflexive) FinPoset, and a repeated term is one interned object
+        # x <= x in every FinPoset, and a repeated term is one interned object
         if terms[i] is not terms[i + 1] and not leq_map(terms[i], terms[i + 1]):
             raise WitnessError(f"chain not increasing at index {i}")
     w = terms[stab_index]

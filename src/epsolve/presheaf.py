@@ -4,10 +4,10 @@ transformations, and the lub-reflection equation y(⊔ e_n) = ⊔ y(c_n^L)∘y(c
 
 A finite O-category is a closed world: objects are names, a morphism is
 its position in its hom-set FinPoset, whose `up` rows give the order, and
-composition is a table of positions.  The builder below constructs the
-full sub-O-category of the base poset category on a chosen family of
-posets, a morphism being its map's position in `function_space_maps`.
-Only `category_to_json` renders morphisms as element names.
+composition is rows of positions, row f of (a, b, c) precomposing with f.
+The builder below constructs the full sub-O-category of the base poset
+category on chosen posets, a morphism being its map's position in
+`function_space_maps`.  Only `category_to_json` renders element names.
 """
 from __future__ import annotations
 
@@ -38,11 +38,11 @@ FAMILY_CAP = 10_000
 class FinOCategory:
     objects: tuple[str, ...]
     hom: dict  # (a, b) -> FinPoset; a morphism a -> b is a position in it
-    comp: dict  # (a, b, c) -> {(f, g): position of g∘f} for positions f: a->b, g: b->c
+    comp: dict  # (a, b, c) -> rows: comp[(a, b, c)][f][g] is the position of g∘f
     ids: dict  # a -> position of the identity in hom(a, a)
 
     def compose(self, a: str, b: str, c: str, f: int, g: int) -> int:
-        return self.comp[(a, b, c)][(f, g)]
+        return self.comp[(a, b, c)][f][g]
 
 
 def _is_position(t, p: FinPoset) -> bool:
@@ -55,38 +55,46 @@ def _le_pairs(p: FinPoset) -> list[tuple[int, int]]:
     return [(i, j) for i, row in enumerate(p.up) for j in range(len(p)) if row >> j & 1]
 
 
+def _first_difference(xs: tuple, ys: tuple) -> int:
+    return next(i for i, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+
 def validate_category(k: FinOCategory) -> None:
-    """Category laws plus monotonicity of composition in each argument."""
+    """Category laws plus monotonicity of composition in each argument,
+    hence in both as hom(a, c) is transitive, checked a row at a time:
+    row f of (a, b, c) is precomposition with f."""
     for a in k.objects:
         if not _is_position(k.ids[a], k.hom[(a, a)]):
             raise InvalidCategory(f"identity of {a} is not a position in hom({a},{a})")
-    for (a, b, c), table in k.comp.items():
-        if not all(_is_position(h, k.hom[(a, c)]) for h in table.values()):
-            raise InvalidCategory(f"a composite {a}->{b}->{c} is not a position in hom({a},{c})")
-    for a, b in itertools.product(k.objects, repeat=2):
-        for f in range(len(k.hom[(a, b)])):
-            if k.compose(a, a, b, k.ids[a], f) != f:
-                raise InvalidCategory(f"left unit fails at {f}: {a}->{b}")
-            if k.compose(a, b, b, f, k.ids[b]) != f:
-                raise InvalidCategory(f"right unit fails at {f}: {a}->{b}")
-    for a, b, c, d in itertools.product(k.objects, repeat=4):
-        for f in range(len(k.hom[(a, b)])):
-            for g in range(len(k.hom[(b, c)])):
-                gf = k.compose(a, b, c, f, g)
-                for h in range(len(k.hom[(c, d)])):
-                    lhs = k.compose(a, c, d, gf, h)
-                    rhs = k.compose(a, b, d, f, k.compose(b, c, d, g, h))
-                    if lhs != rhs:
-                        raise InvalidCategory(f"associativity fails at ({f},{g},{h})")
     for a, b, c in itertools.product(k.objects, repeat=3):
-        up_ac, table = k.hom[(a, c)].up, k.comp[(a, b, c)]
-        g_le = _le_pairs(k.hom[(b, c)])
-        for f1, f2 in _le_pairs(k.hom[(a, b)]):
-            for g1, g2 in g_le:
-                if not up_ac[table[(f1, g1)]] >> table[(f2, g2)] & 1:
-                    raise InvalidCategory(
-                        f"composition not monotone at ({f1},{g1}) <= ({f2},{g2})"
-                    )
+        t, n, m = k.comp.get((a, b, c)), len(k.hom[(a, b)]), len(k.hom[(b, c)])
+        ok = type(t) is tuple and len(t) == n and all(type(row) is tuple and len(row) == m for row in t)
+        if not (ok and all(_is_position(h, k.hom[(a, c)]) for row in t for h in row)):
+            raise InvalidCategory(f"comp {a}->{b}->{c} is not {n} rows of {m} positions in hom({a},{c})")
+    for a, b in itertools.product(k.objects, repeat=2):
+        ident = tuple(range(len(k.hom[(a, b)])))
+        left, right = k.comp[(a, a, b)][k.ids[a]], tuple(row[k.ids[b]] for row in k.comp[(a, b, b)])
+        for side, got in (("left", left), ("right", right)):
+            if got != ident:
+                raise InvalidCategory(f"{side} unit fails at {_first_difference(got, ident)}: {a}->{b}")
+    # for all h at once, row g∘f of (a, c, d) is row g of (b, c, d) read through row f
+    for a, b, c, d in itertools.product(k.objects, repeat=4):
+        acd, bcd = k.comp[(a, c, d)], k.comp[(b, c, d)]
+        for f, (gfs, row_f) in enumerate(zip(k.comp[(a, b, c)], k.comp[(a, b, d)])):
+            for g, (gf, row_g) in enumerate(zip(gfs, bcd)):
+                want = tuple(map(row_f.__getitem__, row_g))
+                if acd[gf] != want:
+                    h = _first_difference(acd[gf], want)
+                    raise InvalidCategory(f"associativity fails at ({f},{g},{h})")
+    # rows f1 <= f2 and columns g1 <= g2 must be ordered pointwise in hom(a, c)
+    le = {ab: _le_pairs(p) for ab, p in k.hom.items()}
+    for a, b, c in itertools.product(k.objects, repeat=3):
+        table, le_ac = k.comp[(a, b, c)], set(le[(a, c)])
+        cols = list(zip(*table)) or [()] * len(k.hom[(b, c)])
+        for arg, lines, pairs in (("first", table, le[(a, b)]), ("second", cols, le[(b, c)])):
+            for i, j in pairs:
+                if not le_ac.issuperset(zip(lines[i], lines[j])):
+                    raise InvalidCategory(f"comp {a}->{b}->{c}: {arg} argument not monotone at {i} <= {j}")
 
 
 @dataclass(frozen=True)
@@ -118,15 +126,10 @@ class PosetOCategory:
 def build_poset_category(posets: dict) -> PosetOCategory:
     names = tuple(posets)
     hom = {(a, b): function_space_maps(posets[a], posets[b]) for a in names for b in names}
-    comp = {}
-    for a, b, c in itertools.product(names, repeat=3):
-        # row f is precomposition with f, hom(b, c) -> hom(a, c), on positions
-        ident = identity(posets[c])
-        comp[(a, b, c)] = {
-            (f, g): h
-            for f, mf in enumerate(hom[(a, b)][1])
-            for g, h in enumerate(fun_map(mf, ident).table)
-        }
+    comp = {
+        (a, b, c): tuple(fun_map(mf, identity(posets[c])).table for mf in hom[(a, b)][1])
+        for a, b, c in itertools.product(names, repeat=3)
+    }
     ids = {a: hom[(a, a)][1].index(identity(posets[a])) for a in names}
     k = FinOCategory(names, {ab: fs for ab, (fs, _) in hom.items()}, comp, ids)
     validate_category(k)
@@ -147,12 +150,9 @@ def validate_presheaf(k: FinOCategory, p: Presheaf) -> None:
         if p.act[(a, a, k.ids[a])] != identity(p.at[a]):
             raise InvalidCategory(f"presheaf does not preserve id at {a}")
     for a, b, c in itertools.product(k.objects, repeat=3):
-        for f in range(len(k.hom[(a, b)])):
-            for g in range(len(k.hom[(b, c)])):
-                gf = k.compose(a, b, c, f, g)
-                lhs = p.act[(a, c, gf)]
-                rhs = compose(p.act[(a, b, f)], p.act[(b, c, g)])
-                if lhs != rhs:
+        for f, row in enumerate(k.comp[(a, b, c)]):
+            for g, gf in enumerate(row):
+                if p.act[(a, c, gf)] != compose(p.act[(a, b, f)], p.act[(b, c, g)]):
                     raise InvalidCategory(f"presheaf action fails at ({f},{g})")
     # local continuity of the action: monotone on each hom-poset
     for a, b in itertools.product(k.objects, repeat=2):
@@ -186,16 +186,15 @@ def is_natural(k: FinOCategory, p: Presheaf, q: Presheaf, eta: NatTrans) -> bool
 
 
 def yoneda(k: FinOCategory, x: str) -> Presheaf:
-    """y x = hom(-, x), acting by precomposition."""
+    """y x = hom(-, x), acting by precomposition: f acts by its row."""
     if x not in k.objects:
         raise ShapeMismatch(f"unknown object {x!r}")
     at = {a: k.hom[(a, x)] for a in k.objects}
-    act = {}
-    for a, b in itertools.product(k.objects, repeat=2):
-        hbx, comp = k.hom[(b, x)], k.comp[(a, b, x)]
-        for f in range(len(k.hom[(a, b)])):
-            table = tuple(comp[(f, g)] for g in range(len(hbx)))
-            act[(a, b, f)] = MonotoneMap(hbx, at[a], table)
+    act = {
+        (a, b, f): MonotoneMap(at[b], at[a], row)
+        for a, b in itertools.product(k.objects, repeat=2)
+        for f, row in enumerate(k.comp[(a, b, x)])
+    }
     p = Presheaf(at, act)
     validate_presheaf(k, p)
     return p
@@ -205,11 +204,10 @@ def yoneda_mor(k: FinOCategory, x: str, y: str, f: int) -> NatTrans:
     """Postcomposition with f: x -> y, as a transformation y x => y y."""
     if not _is_position(f, k.hom[(x, y)]):
         raise ShapeMismatch(f"{f!r} is not a position in hom({x},{y})")
-    comps = {}
-    for a in k.objects:
-        hax, comp = k.hom[(a, x)], k.comp[(a, x, y)]
-        table = tuple(comp[(g, f)] for g in range(len(hax)))
-        comps[a] = MonotoneMap(hax, k.hom[(a, y)], table)
+    comps = {
+        a: MonotoneMap(k.hom[(a, x)], k.hom[(a, y)], tuple(row[f] for row in k.comp[(a, x, y)]))
+        for a in k.objects
+    }
     # naturality of postcomposition follows from associativity, which
     # validate_category has already checked on every triple of morphisms
     return NatTrans(comps)
@@ -288,7 +286,8 @@ def category_to_json(k: FinOCategory) -> dict:
         "comp": {
             f"{a}|{b}|{c}": {
                 f"{name[(a, b)][f]}|{name[(b, c)][g]}": name[(a, c)][h]
-                for (f, g), h in table.items()
+                for f, row in enumerate(table)
+                for g, h in enumerate(row)
             }
             for (a, b, c), table in k.comp.items()
         },

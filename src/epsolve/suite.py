@@ -41,7 +41,6 @@ from .functors import (
     Prod,
     Sum,
     image_cocone,
-    preserves_cocone,
 )
 from .opairs import Kind, PairHom, bottom_inclusion_pair, enumerate_pairs, pair_identity
 
@@ -267,7 +266,7 @@ def counterexample_cocone() -> Cocone:
 def run_counterexample() -> PropertyResult:
     k = counterexample_cocone()
     report = check_local_determination_ep(k)
-    colim = preserves_cocone(Id(), k).colimiting
+    colim = is_colimiting(k)
     ok = (
         not report.verdict
         and report.defects == (1,) * len(k.legs)

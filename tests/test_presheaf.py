@@ -1,12 +1,16 @@
 """Finite O-categories, presheaves, the enriched Yoneda checks and the
 proof-step replay."""
 import hashlib
+import itertools
 import json
+import random
+import re
 
 import pytest
 
 from epsolve.chains import Cocone, OmegaChain, colimit_finite
 from epsolve.demo import embedded_canonical_colimit, two_object_category, yoneda_demo_report
+from epsolve.equations import json_bytes
 from epsolve.errors import InvalidCategory, ShapeMismatch
 from epsolve.finposet import chain_poset, compose, flat, identity, one_point
 from epsolve.opairs import Kind, bottom_inclusion_pair, pair_identity
@@ -58,16 +62,20 @@ def test_two_object_hom_sizes(kctx):
     }
 
 
+def _with_row(k: FinOCategory, key: tuple, f: int, row) -> FinOCategory:
+    """k with row f of the composition table at key replaced."""
+    table = list(k.comp[key])
+    table[f] = row
+    return FinOCategory(k.objects, k.hom, {**k.comp, key: tuple(table)}, k.ids)
+
+
 def test_corrupted_composition_rejected(kctx):
     k = kctx.cat
-    bad_comp = {key: dict(table) for key, table in k.comp.items()}
     key = ("one", "two", "two")
-    (fg, h), *_ = bad_comp[key].items()
-    other = next(t for t in range(len(k.hom[("one", "two")])) if t != h)
-    bad_comp[key][fg] = other
-    bad = FinOCategory(k.objects, k.hom, bad_comp, k.ids)
+    row = k.comp[key][0]
+    other = next(t for t in range(len(k.hom[("one", "two")])) if t != row[0])
     with pytest.raises(InvalidCategory):
-        validate_category(bad)
+        validate_category(_with_row(k, key, 0, (other, *row[1:])))
 
 
 def test_identity_not_a_position_rejected(kctx):
@@ -80,12 +88,122 @@ def test_identity_not_a_position_rejected(kctx):
 
 def test_composite_not_a_position_rejected(kctx):
     k = kctx.cat
-    bad_comp = {key: dict(table) for key, table in k.comp.items()}
     key = ("one", "two", "two")
-    fg = next(iter(bad_comp[key]))
-    bad_comp[key][fg] = -1
-    with pytest.raises(InvalidCategory):
-        validate_category(FinOCategory(k.objects, k.hom, bad_comp, k.ids))
+    row = k.comp[key][0]
+    for bad in (-1, len(k.hom[("one", "two")]), True):
+        with pytest.raises(InvalidCategory, match="positions"):
+            validate_category(_with_row(k, key, 0, (bad, *row[1:])))
+
+
+def _validate_by_triples(k: FinOCategory) -> None:
+    """Independent oracle: the laws checked one composite at a time, by the
+    O(|objects|^4 h^3) loops that `validate_category`'s row checks replace,
+    with monotonicity tested jointly in both arguments."""
+    for a in k.objects:
+        i = k.ids[a]
+        if not (type(i) is int and 0 <= i < len(k.hom[(a, a)])):
+            raise InvalidCategory(f"identity of {a} is not a position in hom({a},{a})")
+    for (a, b, c), table in k.comp.items():
+        if not all(type(h) is int and 0 <= h < len(k.hom[(a, c)]) for row in table for h in row):
+            raise InvalidCategory(f"a composite {a}->{b}->{c} is not a position in hom({a},{c})")
+    for a, b in itertools.product(k.objects, repeat=2):
+        for f in range(len(k.hom[(a, b)])):
+            if k.compose(a, a, b, k.ids[a], f) != f:
+                raise InvalidCategory(f"left unit fails at {f}: {a}->{b}")
+            if k.compose(a, b, b, f, k.ids[b]) != f:
+                raise InvalidCategory(f"right unit fails at {f}: {a}->{b}")
+    for a, b, c, d in itertools.product(k.objects, repeat=4):
+        for f in range(len(k.hom[(a, b)])):
+            for g in range(len(k.hom[(b, c)])):
+                gf = k.compose(a, b, c, f, g)
+                for h in range(len(k.hom[(c, d)])):
+                    if k.compose(a, c, d, gf, h) != k.compose(a, b, d, f, k.compose(b, c, d, g, h)):
+                        raise InvalidCategory(f"associativity fails at ({f},{g},{h})")
+    for a, b, c in itertools.product(k.objects, repeat=3):
+        up_ab, up_bc, up_ac = k.hom[(a, b)].up, k.hom[(b, c)].up, k.hom[(a, c)].up
+        for f1, f2 in itertools.product(range(len(up_ab)), repeat=2):
+            for g1, g2 in itertools.product(range(len(up_bc)), repeat=2):
+                if up_ab[f1] >> f2 & 1 and up_bc[g1] >> g2 & 1:
+                    if not up_ac[k.compose(a, b, c, f1, g1)] >> k.compose(a, b, c, f2, g2) & 1:
+                        raise InvalidCategory(f"composition not monotone at ({f1},{g1}) <= ({f2},{g2})")
+
+
+def _error(check, k: FinOCategory) -> str | None:
+    try:
+        check(k)
+    except InvalidCategory as exc:
+        return str(exc)
+    return None
+
+
+def test_row_checks_agree_with_the_triple_loop_oracle():
+    k = build_poset_category({"one": one_point(), "two": chain_poset(2), "three": chain_poset(3)}).cat
+    assert _error(validate_category, k) is None and _error(_validate_by_triples, k) is None
+    rng = random.Random(0)
+    keys = sorted(k.comp)
+    same_law = 0
+    for _ in range(50):
+        # one entry of one row set to another position, or outside a one-element hom(a, c)
+        key = rng.choice(keys)
+        f = rng.randrange(len(k.comp[key]))
+        row = list(k.comp[key][f])
+        g = rng.randrange(len(row))
+        n = len(k.hom[(key[0], key[2])])
+        row[g] = rng.choice([h for h in range(n) if h != row[g]] or [-1, n])
+        bad = _with_row(k, key, f, tuple(row))
+        got, want = _error(validate_category, bad), _error(_validate_by_triples, bad)
+        assert (got is None) == (want is None), (key, f, row)
+        # units and associativity report the oracle's first witness
+        if want is not None and want.startswith(("left", "right", "associativity")):
+            assert got == want
+            same_law += 1
+    assert same_law > 10
+
+
+def _three_object_category(n_ab: int, n_bc: int, abc: tuple) -> FinOCategory:
+    """Objects a, b, c whose only morphisms besides the identities are
+    n_ab chained ones a -> b, n_bc chained ones b -> c and two a -> c; the
+    composites of a -> b -> c are the rows `abc`."""
+    objs = ("a", "b", "c")
+    sizes = {("a", "b"): n_ab, ("b", "c"): n_bc, ("a", "c"): 2}
+    hom = {(x, y): chain_poset(1 if x == y else sizes.get((x, y), 0)) for x in objs for y in objs}
+
+    def rows(x, y, z):
+        if (x, y, z) == ("a", "b", "c"):
+            return abc
+        if x == y:
+            return (tuple(range(len(hom[(y, z)]))),)
+        return tuple((f,) if y == z else () for f in range(len(hom[(x, y)])))
+
+    comp = {(x, y, z): rows(x, y, z) for x, y, z in itertools.product(objs, repeat=3)}
+    return FinOCategory(objs, hom, comp, dict.fromkeys(objs, 0))
+
+
+def test_three_object_hand_category_valid():
+    validate_category(_three_object_category(2, 1, ((0,), (1,))))
+    validate_category(_three_object_category(1, 2, ((0, 1),)))
+
+
+def test_planted_breaks_rejected(kctx):
+    k = kctx.cat
+    ids, two = k.ids, ("two", "two", "two")
+    assoc = _with_row(k, two, 0, (0, 0, 0))  # const v1 ∘ const v0 read as const v0
+    shape = "comp two->two->two is not 3 rows of 3 positions"
+    breaks = [
+        ("left unit fails at 0: two->two", _with_row(k, two, ids["two"], (2, 1, 2))),
+        ("associativity fails at (0,0,2)", assoc),
+        # f0 <= f1 but g∘f0 = h1 > h0 = g∘f1
+        ("first argument not monotone at 0 <= 1", _three_object_category(2, 1, ((1,), (0,)))),
+        # g0 <= g1 but g0∘f = h1 > h0 = g1∘f
+        ("second argument not monotone at 0 <= 1", _three_object_category(1, 2, ((1, 0),))),
+        (shape, _with_row(k, two, 0, k.comp[two][0][:-1])),  # a short row
+        (shape, FinOCategory(k.objects, k.hom, {**k.comp, two: k.comp[two][:-1]}, ids)),  # a missing row
+        (shape, FinOCategory(k.objects, k.hom, {key: t for key, t in k.comp.items() if key != two}, ids)),
+    ]
+    for message, bad in breaks:
+        with pytest.raises(InvalidCategory, match=re.escape(message)):
+            validate_category(bad)
+    assert _error(_validate_by_triples, assoc) == "associativity fails at (0,0,2)"
 
 
 def test_map_of_token_rejects_non_positions(kctx):
@@ -208,6 +326,15 @@ def test_fully_faithful_two_object(kctx):
     assert check_fully_faithful(kctx.cat)
 
 
+def test_two_object_nat_counts_are_the_hom_sizes(kctx):
+    """Pinned: y is fully faithful on {1, 2-chain}, with |Nat(y a, y b)| = |hom(a, b)|."""
+    k = kctx.cat
+    ys = {x: yoneda(k, x) for x in k.objects}
+    counts = {(a, b): len(enumerate_nat_trans(k, ys[a], ys[b])) for a in k.objects for b in k.objects}
+    assert counts == {("one", "one"): 1, ("one", "two"): 2, ("two", "one"): 1, ("two", "two"): 3}
+    assert check_fully_faithful(k) is True
+
+
 # ---------------------------------------------------------------------------
 # pointwise lubs
 
@@ -280,3 +407,10 @@ def test_category_json_golden(objects):
     kc = build_poset_category({name: posets[name] for name in objects.split(",")})
     raw = json.dumps(category_to_json(kc.cat), sort_keys=True).encode()
     assert hashlib.sha256(raw).hexdigest() == GOLDEN_CATEGORIES[objects]
+
+
+def test_four_object_category_wire_bytes_pinned():
+    """The written form of the category on {1, 2-chain, 3-chain, flat(2)}."""
+    posets = {"one": one_point(), "two": chain_poset(2), "three": chain_poset(3), "flat2": flat(2)}
+    raw = json_bytes(category_to_json(build_poset_category(posets).cat))
+    assert hashlib.sha256(raw).hexdigest() == "3ddd1fa74d5d6eae3c063d63399cde30de12e82ba758d84b8221432eb84a8139"
