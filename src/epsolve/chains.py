@@ -9,6 +9,7 @@ approximants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import ne
 
 from .errors import ShapeMismatch, WitnessError
@@ -68,6 +69,24 @@ class OmegaChain(metaclass=Interned):
     def witness(self) -> int:
         """`stab_index`, or the last index when the chain carries none."""
         return len(self.links) if self.stab_index is None else self.stab_index
+
+    @cached_property
+    def inner_rows(self) -> tuple[tuple[tuple[MonotoneMap, ...], MonotoneMap], ...]:
+        """Per n, the inner round trips r∘l of the composites Δ_n -> Δ_m for
+        m = n, n+1, ..., built one link at a time, and their witnessed lub.
+        They depend on the chain alone, so they are built once per chain and
+        die with it; a WitnessError from `lub_map_chain` is raised again on
+        the next read.  With no links the one row is the identity, whatever
+        the kind of a cocone over the chain."""
+        rows = []
+        for n, obj in enumerate(self.objects):
+            comp = pair_identity(obj, self.kind)
+            ts = [compose(comp.r, comp.l)]
+            for link in self.links[n:]:
+                comp = pair_compose(link, comp)
+                ts.append(compose(comp.r, comp.l))
+            rows.append((tuple(ts), lub_map_chain(ts, max(self.witness - n, 0))))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -194,18 +213,11 @@ def check_local_determination_adj(k: Cocone) -> LdReport:
     if k.kind != Kind.ADJ:
         raise ShapeMismatch("check_local_determination_adj: ADJ cocone required")
     first_ok, defects = _apex_condition(k)
-    stab = k.chain.witness
     second_ok = True
     residuals = []
-    for n, leg in enumerate(k.legs):
+    for leg, (ts, lub) in zip(k.legs, k.chain.inner_rows):
         target = compose(leg.r, leg.l)
-        # the composites Δ_n -> Δ_m for m = n, n+1, ..., one link at a time
-        comp = pair_identity(k.chain.objects[n], k.kind)
-        ts = [compose(comp.r, comp.l)]
-        for link in k.chain.links[n:]:
-            comp = pair_compose(link, comp)
-            ts.append(compose(comp.r, comp.l))
-        if lub_map_chain(ts, max(stab - n, 0)) != target:
+        if lub != target:
             second_ok = False
         residuals.append(_defects(ts, target))
     return LdReport(Kind.ADJ, first_ok and second_ok, defects, tuple(residuals))

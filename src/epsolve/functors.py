@@ -134,8 +134,9 @@ def apply_mor(e: FunctorExpr, f: MonotoneMap) -> MonotoneMap:
 def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -> PairHom:
     """Pair action: componentwise on covariant nodes, symmetrized on fun.
     The one interpreter of functor expressions: every node's source and
-    target are checked against elem_cap, and a product is sized before it is
-    built, since its factors fit the cap but it can hold cap² elements."""
+    target are checked against elem_cap, and a lift, sum or product is sized
+    before it is built, so a cap exit leaves no poset in their caches (a
+    product's factors fit the cap, but it can hold cap² elements)."""
     match e:
         case Id():
             out = f
@@ -143,6 +144,8 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
             out = pair_identity(q, f.kind)
         case Lift(arg):
             g = pr_apply_mor(arg, f, elem_cap)
+            _check_size(len(g.src) + 1, elem_cap)
+            _check_size(len(g.tgt) + 1, elem_cap)
             out = PairHom(f.kind, lift_map(g.l), lift_map(g.r))
         case Prod(a, b):
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
@@ -151,6 +154,10 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
             out = PairHom(f.kind, prod_map(ga.l, gb.l), prod_map(ga.r, gb.r))
         case Sum(a, b):
             ga, gb = pr_apply_mor(a, f, elem_cap), pr_apply_mor(b, f, elem_cap)
+            # an unpointed summand raises NotPointed from sum_map, ahead of any cap
+            if all(p.is_pointed for p in (ga.src, gb.src, ga.tgt, gb.tgt)):
+                _check_size(1 + len(ga.src) + len(gb.src), elem_cap)
+                _check_size(1 + len(ga.tgt) + len(gb.tgt), elem_cap)
             out = PairHom(f.kind, sum_map(ga.l, gb.l), sum_map(ga.r, gb.r))
         case Fun(a, b):
             # h ↦ gb.l∘h∘ga.r and k ↦ gb.r∘k∘ga.l
@@ -219,12 +226,25 @@ class PreservationResult:
     locally_determined: LdReport
 
 
-def image_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> Cocone:
-    """The functor applied to every link and leg; ShapeMismatch unless the image legs commute."""
+def image_pairs(
+    e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP
+) -> tuple[tuple[PairHom, ...], tuple[PairHom, ...]]:
+    """The functor applied to every link and every leg of k, unchecked as a cocone."""
     links = tuple(pr_apply_mor(e, f, elem_cap) for f in k.chain.links)
     legs = tuple(pr_apply_mor(e, leg, elem_cap) for leg in k.legs)
+    return links, legs
+
+
+def assemble_image(links: tuple[PairHom, ...], legs: tuple[PairHom, ...], stab_index: int | None) -> Cocone:
+    """The image cocone of `image_pairs`; WitnessError unless the links keep
+    the witness, ShapeMismatch unless the legs commute."""
     objects = tuple(leg.src for leg in legs)
-    return cocone_from_legs(OmegaChain(objects, links, k.chain.stab_index), legs)
+    return cocone_from_legs(OmegaChain(objects, links, stab_index), legs)
+
+
+def image_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> Cocone:
+    """The functor applied to every link and leg; ShapeMismatch unless the image legs commute."""
+    return assemble_image(*image_pairs(e, k, elem_cap), k.chain.stab_index)
 
 
 def preserves_cocone(e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP) -> PreservationResult:

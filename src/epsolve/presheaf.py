@@ -63,7 +63,12 @@ def validate_category(k: FinOCategory) -> None:
     """Category laws plus monotonicity of composition in each argument,
     hence in both as hom(a, c) is transitive, checked a row at a time:
     row f of (a, b, c) is precomposition with f."""
+    for a, b in itertools.product(k.objects, repeat=2):
+        if (a, b) not in k.hom:
+            raise InvalidCategory(f"no hom-set hom({a},{b})")
     for a in k.objects:
+        if a not in k.ids:
+            raise InvalidCategory(f"no identity of {a}")
         if not _is_position(k.ids[a], k.hom[(a, a)]):
             raise InvalidCategory(f"identity of {a} is not a position in hom({a},{a})")
     for a, b, c in itertools.product(k.objects, repeat=3):

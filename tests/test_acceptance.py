@@ -68,6 +68,24 @@ def test_p1_fails_on_a_colimiting_verdict_it_does_not_characterise(monkeypatch):
     assert not result.passed and result.failures
 
 
+def test_p4c_decides_each_distinct_chain_once_and_records_every_case(monkeypatch):
+    import epsolve.suite as suite
+
+    _, chains = suite.run_ld_implies_colimiting(0, chain_count=3)
+    d, other = chains[0], next(c for c in chains if c != chains[0])
+    checked = []
+
+    def failing(k):
+        checked.append(k.chain)
+        return dataclasses.replace(real(k), verdict=False)
+
+    real = suite.check_local_determination_adj
+    monkeypatch.setattr(suite, "check_local_determination_adj", failing)
+    result = suite.run_ep_adjoint_second_condition([d, other, d])
+    assert result.cases == 3 and len(checked) == 2
+    assert result.failures == [{"chain": repr(c)} for c in (d, other, d)]
+
+
 def test_p7_scale(results):
     assert results["P7"][0].cases == 50
 
@@ -91,23 +109,36 @@ def test_witnessed_lubs_never_test_a_map_against_itself(monkeypatch):
 
 
 def _recording_images(monkeypatch, suite):
-    """Patch suite.image_cocone to log ((functor, chain), image) per image built."""
-    real, log = suite.image_cocone, []
+    """Patch suite.image_pairs and suite.assemble_image to log, per case
+    whose pairs were built, ((functor, chain), key) with key the image's
+    (links, legs, witness), and, per assembly, (key, cocone or exception)."""
+    real_pairs, real_assemble = suite.image_pairs, suite.assemble_image
+    cases, assembled = [], []
 
-    def image_cocone(e, k, elem_cap):
-        out = real(e, k, elem_cap)
-        log.append(((e, k.chain), out))
+    def image_pairs(e, k, elem_cap):
+        links, legs = real_pairs(e, k, elem_cap)
+        cases.append(((e, k.chain), (links, legs, k.chain.stab_index)))
+        return links, legs
+
+    def assemble_image(*key):
+        try:
+            out = real_assemble(*key)
+        except Exception as exc:
+            assembled.append((key, exc))
+            raise
+        assembled.append((key, out))
         return out
 
-    monkeypatch.setattr(suite, "image_cocone", image_cocone)
-    return log
+    monkeypatch.setattr(suite, "image_pairs", image_pairs)
+    monkeypatch.setattr(suite, "assemble_image", assemble_image)
+    return cases, assembled
 
 
 def test_run_preservation_decides_each_distinct_image_once(monkeypatch):
     import epsolve.suite as suite
 
     _, chains = suite.run_ld_implies_colimiting(0, chain_count=40)
-    images = _recording_images(monkeypatch, suite)
+    cases, assembled = _recording_images(monkeypatch, suite)
     decided = Counter()
     real_colim, real_ld = suite.is_colimiting, suite.check_local_determination
 
@@ -123,30 +154,36 @@ def test_run_preservation_decides_each_distinct_image_once(monkeypatch):
     monkeypatch.setattr(suite, "check_local_determination", check_local_determination)
     for run in (1, 2):  # the memo lives for one run
         result = suite.run_preservation(chains, Kind.EP)
-        distinct = {image for _, image in images}
-        assert result.passed and result.cases == len(images) > len(distinct)
-        assert set(decided) == {(which, k) for which in ("colim", "ld") for k in distinct}
+        keys = {key for _, key in cases}
+        assert result.passed and result.cases == len(cases) > len(keys)
+        # assembled once per distinct (links, legs, witness), before any check
+        assert Counter(key for key, _ in assembled) == Counter(keys)
+        images = {image for _, image in assembled}
+        assert set(decided) == {(which, k) for which in ("colim", "ld") for k in images}
         assert set(decided.values()) == {run}
-        images.clear()
+        cases.clear()
+        assembled.clear()
 
 
 def test_run_preservation_fails_every_case_of_a_shared_image(monkeypatch):
     import epsolve.suite as suite
+    from epsolve.functors import assemble_image
 
     _, chains = suite.run_ld_implies_colimiting(0, chain_count=40)
-    images = _recording_images(monkeypatch, suite)
+    cases, _ = _recording_images(monkeypatch, suite)
     clean = suite.run_preservation(chains, Kind.EP)
     chains_of = {}
-    for (e, d), image in images:
-        chains_of.setdefault(image, set()).add(d)
-    shared = max(chains_of, key=lambda k: len(chains_of[k]))
+    for (e, d), key in cases:
+        chains_of.setdefault(key, set()).add(d)
+    shared = max(chains_of, key=lambda key: len(chains_of[key]))
     assert len(chains_of[shared]) >= 2
-    hits = [{"functor": str(e), "chain": repr(d)} for (e, d), image in images if image == shared]
+    hits = [{"functor": str(e), "chain": repr(d)} for (e, d), key in cases if key == shared]
+    shared_image = assemble_image(*shared)
     real_ld = suite.check_local_determination
 
     def mutant(k):
         report = real_ld(k)
-        return dataclasses.replace(report, verdict=False) if k == shared else report
+        return dataclasses.replace(report, verdict=False) if k == shared_image else report
 
     monkeypatch.setattr(suite, "check_local_determination", mutant)
     result = suite.run_preservation(chains, Kind.EP)
@@ -161,6 +198,7 @@ def test_run_preservation_records_an_image_whose_legs_do_not_commute(monkeypatch
     import epsolve.functors as functors
     import epsolve.suite as suite
     from epsolve.chains import OmegaChain
+    from epsolve.errors import ShapeMismatch
     from epsolve.finposet import flat
     from epsolve.functors import Id
     from epsolve.opairs import enumerate_pairs, is_iso_pair, pair_identity
@@ -174,6 +212,7 @@ def test_run_preservation_records_an_image_whose_legs_do_not_commute(monkeypatch
     def faulty(e, f, elem_cap=functors.DEFAULT_ELEM_CAP):
         return swap if e is Id() and f is ident else real(e, f, elem_cap)
 
+    _, assembled = _recording_images(monkeypatch, suite)
     monkeypatch.setattr(functors, "pr_apply_mor", faulty)
     try:
         result = suite.run_preservation([d], Kind.EP)
@@ -181,7 +220,11 @@ def test_run_preservation_records_an_image_whose_legs_do_not_commute(monkeypatch
         monkeypatch.undo()
         real.cache_clear()  # it cached images built through `faulty`
     assert not result.passed
-    assert {"functor": "D", "chain": repr(d)} in result.failures
+    # D and compose(D,D) share the image; its failed assembly is memoised
+    for functor in ("D", "compose(D,D)"):
+        assert {"functor": functor, "chain": repr(d)} in result.failures
+    bad = ((swap,), (swap, swap), 0)
+    assert [type(out) for key, out in assembled if key == bad] == [ShapeMismatch]
 
 
 def test_run_preservation_records_an_image_that_is_not_a_valid_pair(monkeypatch):

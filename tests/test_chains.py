@@ -1,8 +1,10 @@
 """Chains of pairs, cocones, canonical colimits, local determination."""
 import dataclasses
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,13 +30,14 @@ from epsolve.chains import (
 )
 from epsolve import finposet
 from epsolve.equations import iterate, parse_equation
-from epsolve.errors import ShapeMismatch, WitnessError
+from epsolve.errors import CapExceeded, NotPointed, ShapeMismatch, WitnessError
 from epsolve.finposet import (
     chain_poset,
     compose,
     flat,
     identity,
     leq_map,
+    make_poset,
     monotone_maps,
     one_point,
 )
@@ -48,7 +51,15 @@ from epsolve.opairs import (
     pair_identity,
     pair_inverse,
 )
-from epsolve.suite import apex_catalog, cocones_over, counterexample_cocone, random_chain
+from epsolve.functors import image_cocone
+from epsolve.suite import (
+    IMAGE_SIZE_LIMIT,
+    apex_catalog,
+    cocones_over,
+    counterexample_cocone,
+    functor_family,
+    random_chain,
+)
 
 
 def two():
@@ -378,6 +389,68 @@ def test_ld_checker_matches_the_reference(seed, kind):
             assert (report.verdict, report.defects, report.adj_residuals) == reference_ld(k)
             cases += 1
     assert cases >= 20
+
+
+def test_ld_checker_matches_the_reference_on_functor_images():
+    # P4b's cocones: the canonical image of each ADJ chain's colimit, whose
+    # image chain carries that one cocone, so every check builds its rows
+    rng = random.Random(1)
+    family = functor_family(2, [(one_point(), "unit"), (two(), "2-chain")])
+    cases = 0
+    for _ in range(20):
+        canon = colimit_finite(random_chain(rng, Kind.ADJ, 4, 5))
+        for e in family:
+            try:
+                k = image_cocone(e, canon, IMAGE_SIZE_LIMIT)
+            except (CapExceeded, NotPointed):
+                continue
+            report = check_local_determination(k)
+            assert (report.verdict, report.defects, report.adj_residuals) == reference_ld(k)
+            cases += 1
+    assert cases >= 100
+
+
+def _fresh_adj_chain(tag: str) -> OmegaChain:
+    """2-chain -> 3-chain -> 3-chain by ADJ links, over posets whose names
+    no other test uses, so the chain and its inner rows are built here."""
+    p, q = (
+        make_poset(names, zip(names, names[1:]), bottom=names[0])
+        for names in ([f"{tag}{i}" for i in range(n)] for n in (2, 3))
+    )
+    link = next(f for f in enumerate_pairs(p, q, Kind.ADJ) if not is_iso_pair(f))
+    return OmegaChain((p, q, q), (link, pair_identity(q, Kind.ADJ)), 1)
+
+
+def test_adj_inner_rows_are_built_once_per_chain(monkeypatch):
+    from epsolve import chains
+
+    d = _fresh_adj_chain("rows")
+    cocones = list(cocones_over(d, apex_catalog() + (d.objects[-1],)))
+    assert len(cocones) >= 10
+    calls = []
+    real = chains.pair_compose
+
+    def counting(g, f):
+        calls.append((g, f))
+        return real(g, f)
+
+    monkeypatch.setattr(chains, "pair_compose", counting)
+    for k in cocones:
+        check_local_determination_adj(k)
+    # one row build: row n composes the links n, n+1, ... one at a time
+    assert len(calls) == 2 + 1
+
+
+def test_adj_inner_rows_die_with_their_chain():
+    def check() -> weakref.ref:
+        d = _fresh_adj_chain("dies")
+        assert check_local_determination_adj(colimit_finite(d)).verdict
+        assert "inner_rows" in vars(d)
+        return weakref.ref(d)
+
+    ref = check()
+    gc.collect()
+    assert ref() is None
 
 
 # ---------------------------------------------------------------------------

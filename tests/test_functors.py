@@ -20,6 +20,7 @@ from epsolve.finposet import (
     identity,
     iso_check,
     lift,
+    make_poset,
     map_from_dict,
     one_point,
     product,
@@ -97,6 +98,20 @@ def test_apply_obj_sizes_product_before_building(monkeypatch):
     monkeypatch.setattr(finposet, "product", unreachable)
     with pytest.raises(CapExceeded, match="object of size 1600 exceeds cap 512"):
         apply_obj(Prod(Id(), Id()), chain_poset(40), elem_cap=512)
+
+
+def test_pr_apply_mor_sizes_lift_and_sum_before_building():
+    # an 8-chain under fresh names, so no earlier test left its lift or sum cached
+    names = tuple(f"fresh{i}" for i in range(8))
+    p = make_poset(names, zip(names, names[1:]), bottom=names[0])
+    for e, built, size in ((Lift(Id()), lift, 9), (Sum(Id(), Id()), coproduct, 17)):
+        before = built.cache_info().currsize
+        with pytest.raises(CapExceeded, match=f"object of size {size} exceeds cap 8"):
+            pr_apply_mor(e, pair_identity(p), 8)
+        assert built.cache_info().currsize == before
+    # a missing bottom is still reported ahead of the cap
+    with pytest.raises(NotPointed):
+        pr_apply_mor(Sum(Id(), Id()), pair_identity(antichain(8)), 8)
 
 
 def structural_obj(e, p, cap):

@@ -86,6 +86,20 @@ def test_identity_not_a_position_rejected(kctx):
             validate_category(FinOCategory(k.objects, k.hom, k.comp, ids))
 
 
+def test_missing_identity_rejected(kctx):
+    k = kctx.cat
+    ids = {a: t for a, t in k.ids.items() if a != "two"}
+    with pytest.raises(InvalidCategory, match="no identity of two"):
+        validate_category(FinOCategory(k.objects, k.hom, k.comp, ids))
+
+
+def test_missing_hom_set_rejected(kctx):
+    k = kctx.cat
+    hom = {ab: p for ab, p in k.hom.items() if ab != ("two", "one")}
+    with pytest.raises(InvalidCategory, match=re.escape("no hom-set hom(two,one)")):
+        validate_category(FinOCategory(k.objects, hom, k.comp, k.ids))
+
+
 def test_composite_not_a_position_rejected(kctx):
     k = kctx.cat
     key = ("one", "two", "two")
