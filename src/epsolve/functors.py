@@ -7,7 +7,7 @@ though only fun-free expressions act on raw maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 from .chains import (
     Cocone,
@@ -28,6 +28,7 @@ from .finposet import (
     leq_map,
     lift_map,
     monotone_maps,
+    one_point,
     prod_map,
     sum_map,
 )
@@ -47,6 +48,15 @@ class FunctorExpr(metaclass=Interned):
 
     def __str__(self):
         return f"{type(self).__name__.lower()}({','.join(map(str, _fields(self)))})"
+
+    @cached_property
+    def node_classes(self) -> frozenset[type]:
+        """The classes of the nodes of this tree, kept on the node (it dies
+        with it).  An expression without `Id` reads no `D`: its action on a
+        pair depends only on the pair's kind."""
+        return frozenset({type(self)}).union(
+            *(c.node_classes for c in _fields(self) if isinstance(c, FunctorExpr))
+        )
 
 
 def _fields(e: FunctorExpr) -> list:
@@ -100,7 +110,14 @@ class Compose(FunctorExpr):
 
 
 def has_fun(e: FunctorExpr) -> bool:
-    return isinstance(e, Fun) or any(isinstance(c, FunctorExpr) and has_fun(c) for c in _fields(e))
+    return Fun in e.node_classes
+
+
+@cache
+def _base_pair(kind: Kind) -> PairHom:
+    """The pair at which an expression without `Id` is applied for `kind`:
+    every pair of that kind has the same image under it."""
+    return pair_identity(one_point(), kind)
 
 
 def _check_size(n: int, elem_cap: int) -> None:
@@ -136,7 +153,13 @@ def pr_apply_mor(e: FunctorExpr, f: PairHom, elem_cap: int = DEFAULT_ELEM_CAP) -
     The one interpreter of functor expressions: every node's source and
     target are checked against elem_cap, and a lift, sum or product is sized
     before it is built, so a cap exit leaves no poset in their caches (a
-    product's factors fit the cap, but it can hold cap² elements)."""
+    product's factors fit the cap, but it can hold cap² elements).
+    An expression without `Id`, a whole one or a subterm, is applied only
+    to its kind's base pair, and every other pair reads that entry.  The
+    test is syntactic: compose(<constant>, e) keeps e's `Id` and so still
+    applies e, with its cap exits."""
+    if Id not in e.node_classes and f is not (base := _base_pair(f.kind)):
+        return pr_apply_mor(e, base, elem_cap)
     match e:
         case Id():
             out = f
@@ -229,7 +252,11 @@ class PreservationResult:
 def image_pairs(
     e: FunctorExpr, k: Cocone, elem_cap: int = DEFAULT_ELEM_CAP
 ) -> tuple[tuple[PairHom, ...], tuple[PairHom, ...]]:
-    """The functor applied to every link and every leg of k, unchecked as a cocone."""
+    """The functor applied to every link and every leg of k, unchecked as a
+    cocone.  An expression without `Id` gives one pair, repeated."""
+    if Id not in e.node_classes:
+        g = pr_apply_mor(e, _base_pair(k.kind), elem_cap)
+        return (g,) * len(k.chain.links), (g,) * len(k.legs)
     links = tuple(pr_apply_mor(e, f, elem_cap) for f in k.chain.links)
     legs = tuple(pr_apply_mor(e, leg, elem_cap) for leg in k.legs)
     return links, legs

@@ -1,5 +1,7 @@
 """Functor combinators: object/morphism actions, laws, local continuity,
 cocone preservation."""
+import random
+
 import pytest
 
 from epsolve.chains import colimit_finite
@@ -15,15 +17,19 @@ from epsolve.finposet import (
     coproduct,
     diamond,
     flat,
+    fun_map,
     function_space,
     function_space_maps,
     identity,
     iso_check,
     lift,
+    lift_map,
     make_poset,
     map_from_dict,
     one_point,
+    prod_map,
     product,
+    sum_map,
 )
 from epsolve.functors import (
     Compose,
@@ -38,6 +44,7 @@ from epsolve.functors import (
     check_functor_laws,
     check_local_continuity,
     has_fun,
+    image_pairs,
     pr_apply_mor,
     preserves_cocone,
 )
@@ -50,7 +57,12 @@ from epsolve.opairs import (
     pair_identity,
     pair_leq,
 )
-from epsolve.suite import counterexample_cocone, functor_family
+from epsolve.suite import (
+    IMAGE_SIZE_LIMIT,
+    counterexample_cocone,
+    functor_family,
+    run_ld_implies_colimiting,
+)
 from tests.test_chains import n1_chain
 
 
@@ -168,6 +180,129 @@ def test_pair_action_builds_the_structural_objects(kind, cap):
             assert (g.src, g.tgt) == (src, tgt), (str(e), f)
             assert apply_obj(e, f.src, cap) is src
             assert apply_obj(e, f.tgt, cap) is tgt
+
+
+def structural_pair(e, f, cap):
+    """Pair action by structural recursion, with no fold: every subterm,
+    constant or not, is applied to f itself.  An oracle for pr_apply_mor."""
+    match e:
+        case Id():
+            out = f
+        case Const(q, _):
+            out = pair_identity(q, f.kind)
+        case Lift(a):
+            g = structural_pair(a, f, cap)
+            out = PairHom(f.kind, lift_map(g.l), lift_map(g.r))
+        case Prod(a, b):
+            ga, gb = structural_pair(a, f, cap), structural_pair(b, f, cap)
+            if max(len(ga.src) * len(gb.src), len(ga.tgt) * len(gb.tgt)) > cap:
+                raise CapExceeded("product past the cap")
+            out = PairHom(f.kind, prod_map(ga.l, gb.l), prod_map(ga.r, gb.r))
+        case Sum(a, b):
+            ga, gb = structural_pair(a, f, cap), structural_pair(b, f, cap)
+            out = PairHom(f.kind, sum_map(ga.l, gb.l), sum_map(ga.r, gb.r))
+        case Fun(a, b):
+            ga, gb = structural_pair(a, f, cap), structural_pair(b, f, cap)
+            out = PairHom(f.kind, fun_map(ga.r, gb.l, cap), fun_map(ga.l, gb.r, cap))
+        case Compose(outer, inner):
+            out = structural_pair(outer, structural_pair(inner, f, cap), cap)
+    if max(len(out.src), len(out.tgt)) > cap:
+        raise CapExceeded("object past the cap")
+    return out
+
+
+def _outcome(apply, e, f, cap):
+    """The pair that apply(e, f, cap) returns, or the class of its error."""
+    try:
+        return apply(e, f, cap)
+    except (CapExceeded, NotPointed) as exc:
+        return type(exc)
+
+
+def _without_d(family):
+    return [e for e in family if Id not in e.node_classes]
+
+
+@pytest.mark.parametrize("cap", [8, 512])
+def test_functors_without_d_match_the_unfolded_interpreter(cap):
+    consts = [(one_point(), "unit"), (two(), "2-chain")]
+    depth2 = _without_d(ORACLE_FUNCTORS)
+    depth3 = random.Random(0).sample(_without_d(functor_family(3, consts)), 100)
+    assert len(depth2) == 20
+    pairs = [
+        f
+        for kind in (Kind.EP, Kind.ADJ)
+        for a in ORACLE_POSETS
+        for b in ORACLE_POSETS
+        for f in enumerate_pairs(a, b, kind)
+    ]
+    assert {f.kind for f in pairs} == {Kind.EP, Kind.ADJ}
+    for e in depth2 + depth3:
+        for f in pairs:
+            got, want = _outcome(pr_apply_mor, e, f, cap), _outcome(structural_pair, e, f, cap)
+            assert got is want, (str(e), f, cap)
+
+
+def _seed0_canonical_colimits():
+    """The canonical colimits that P2 and P4b of run_all(seed=0) check."""
+    _, ep_chains = run_ld_implies_colimiting(0, Kind.EP)
+    _, adj_chains = run_ld_implies_colimiting(1, Kind.ADJ)
+    return [colimit_finite(d) for d in dict.fromkeys(ep_chains + adj_chains)]
+
+
+def test_image_pairs_is_the_action_on_each_link_and_leg():
+    cases = 0
+    for canon in _seed0_canonical_colimits():
+        for e in ORACLE_FUNCTORS:
+            try:
+                got = image_pairs(e, canon, IMAGE_SIZE_LIMIT)
+            except (CapExceeded, NotPointed) as exc:
+                with pytest.raises(type(exc)):
+                    for f in canon.chain.links + canon.legs:
+                        pr_apply_mor(e, f, IMAGE_SIZE_LIMIT)
+                continue
+            want = tuple(
+                tuple(pr_apply_mor(e, f, IMAGE_SIZE_LIMIT) for f in fs)
+                for fs in (canon.chain.links, canon.legs)
+            )
+            assert got == want, (str(e), canon.chain)
+            cases += 1
+    assert cases >= 1000
+
+
+def test_a_functor_without_d_is_applied_once_per_kind(monkeypatch):
+    import epsolve.functors as functors
+
+    e = Prod(Const(one_point(), "unit"), Const(two(), "2-chain"))
+    pairs = {
+        kind: [f for a in ORACLE_POSETS for b in ORACLE_POSETS for f in enumerate_pairs(a, b, kind)]
+        for kind in (Kind.EP, Kind.ADJ)
+    }
+    assert min(len(fs) for fs in pairs.values()) >= 20
+    calls = []
+    real = functors.prod_map
+
+    def counting(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(functors, "prod_map", counting)
+    pr_apply_mor.cache_clear()
+    for kind, fs in pairs.items():
+        images = {pr_apply_mor(e, f, DEFAULT_ELEM_CAP) for f in fs}
+        assert images == {pair_identity(product(one_point(), two()), kind)}
+    # one application per kind, each with its l and its r
+    assert len(calls) == 2 * 2
+    pr_apply_mor.cache_clear()  # it cached images built through `counting`
+
+
+def test_a_functor_with_d_under_a_constant_is_not_folded():
+    e = Compose(Const(one_point(), "unit"), Prod(Id(), Id()))
+    assert Id in e.node_classes
+    # the inner product still runs, and still exits at the cap
+    with pytest.raises(CapExceeded, match="object of size 16 exceeds cap 8"):
+        pr_apply_mor(e, pair_identity(chain_poset(4)), 8)
+    assert pr_apply_mor(e, pair_identity(two()), 8) is pair_identity(one_point())
 
 
 def fun_by_composition(a, b, f, cap=DEFAULT_ELEM_CAP):
